@@ -64,6 +64,7 @@ from .solver import (
 from .simulate import (
     AlwaysStop,
     HistoryRule,
+    JumpLimitError,
     MCReport,
     NeverStop,
     PolicyRule,

@@ -1,7 +1,8 @@
 """Command line front end: validate models, solve stopping problems, simulate rules.
 
-Exit codes: 0 success, 2 schema or validation failure, 3 iteration budget
-exhausted, 4 contraction hypothesis violated, 5 unknown simulation rule.
+Exit codes: 0 success, 2 schema or validation failure (also a kernel whose
+simulated jumps pile up inside the horizon), 3 iteration budget exhausted,
+4 contraction hypothesis violated, 5 unknown simulation rule.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .model import (
     load_model,
     validate_model,
 )
-from .simulate import AlwaysStop, NeverStop, RegionRule, estimate_value
+from .simulate import AlwaysStop, JumpLimitError, NeverStop, RegionRule, estimate_value
 from .solver import (
     ContractionError,
     cross_check,
@@ -236,7 +237,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     else:
         rule = NeverStop()
 
-    report = estimate_value(model, rule, x0, cfg.n_paths, cfg.seed)
+    try:
+        report = estimate_value(model, rule, x0, cfg.n_paths, cfg.seed)
+    except JumpLimitError as err:
+        print(f"cannot simulate this model: {err}")
+        return EXIT_SCHEMA
     payload = report.to_json_dict()
     payload["rule"] = cfg.rule
     payload["x0"] = x0

@@ -8,7 +8,8 @@ stream reproduces identical paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,8 +27,14 @@ __all__ = [
 def _match_input(t, out):
     # scalar in, scalar out; arrays pass through
     if np.ndim(t) == 0:
-        return float(out)
+        return float(np.ravel(out)[0])
     return out
+
+
+def _require_finite(dist) -> None:
+    for field in fields(dist):
+        if not math.isfinite(getattr(dist, field.name)):
+            raise ValueError(f"{field.name} must be finite")
 
 
 class SojournDist:
@@ -54,6 +61,7 @@ class Exponential(SojournDist):
     rate: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.rate > 0:
             raise ValueError("rate must be positive")
 
@@ -71,19 +79,25 @@ class Weibull(SojournDist):
     scale: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.shape > 0:
             raise ValueError("shape must be positive")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
+    # `**` on a numpy scalar calls libm's pow, which can differ in the last
+    # bit from numpy's vectorized pow. So cdf runs scalars as 1-element
+    # arrays, and quantile, which sampling calls once per draw, calls the
+    # np.power ufunc, which runs the array loop on scalars too at a tenth
+    # of the cost of building an array.
     def cdf(self, t):
-        tt = np.maximum(np.asarray(t, dtype=float), 0.0)
+        tt = np.maximum(np.atleast_1d(np.asarray(t, dtype=float)), 0.0)
         with np.errstate(over="ignore"):
             z = (tt / self.scale) ** self.shape
         return _match_input(t, -np.expm1(-z))
 
     def quantile(self, u):
-        return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
+        return self.scale * np.power(-np.log1p(-u), 1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -92,6 +106,7 @@ class Uniform(SojournDist):
     b: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.a < 0:
             raise ValueError("lower endpoint must be nonnegative")
         if not self.b > self.a:
@@ -112,6 +127,7 @@ class PointMass(SojournDist):
     d: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.d > 0:
             raise ValueError("atom location must be positive")
 

@@ -100,15 +100,40 @@ def discretize_kernel(kernel: "SemiMarkovKernel", grid: TimeGrid) -> KernelGrid:
     return KernelGrid(grid=grid, mass=mass, jump_mass=jump, survival=survival, edges=edges)
 
 
+def _fft_length(m: int) -> int:
+    """Smallest 2^a * 3^b >= m, a transform length that pocketfft handles fast."""
+    best = 1 << (m - 1).bit_length()
+    p3 = 3
+    while p3 < best:
+        p = p3
+        while p < m:
+            p *= 2
+        best = min(best, p)
+        p3 *= 3
+    return best
+
+
 def convolve_values(kg: KernelGrid, v: np.ndarray) -> np.ndarray:
-    """Grid convolution out[k, x] = sum_y sum_{j<=k} jump_mass[x, y, j] * v[k-j, y]."""
+    """Grid convolution out[k, x] = sum_y sum_{j<=k} jump_mass[x, y, j] * v[k-j, y].
+
+    Lag 0 carries no jump mass and v[K] never reaches nodes 0..K, so the
+    kernel is jump_mass[..., 1:] and the values are v[:K]. A zero-padded
+    real FFT of length >= 2K - 1 then gives the linear convolution without
+    wrap-around. Node 0 is an exact zero, and round-off below zero is
+    clipped, since every term is nonnegative. The kernel rows are
+    transformed again on every call, one state x at a time: caching all
+    n^2 spectra would cost more peak memory than the transforms cost time.
+    """
     K = kg.grid.steps
     n = kg.mass.shape[0]
+    size = _fft_length(2 * K - 1)
+    v_hat = np.fft.rfft(v[:K].T, size)
     out = np.zeros_like(v)
     for x in range(n):
-        acc = np.zeros(K + 1)
-        for y in range(n):
-            if kg.edges[x, y]:
-                acc = acc + np.convolve(kg.jump_mass[x, y], v[:, y])[: K + 1]
-        out[:, x] = acc
+        ys = np.flatnonzero(kg.edges[x])
+        if ys.size == n:
+            ys = slice(None)  # a dense row indexes by view, copying neither kernel nor spectra
+        k_hat = np.fft.rfft(kg.jump_mass[x, ys, 1:], size)
+        k_hat *= v_hat[ys]
+        np.maximum(np.fft.irfft(k_hat.sum(axis=0), size)[:K], 0.0, out=out[1:, x])
     return out

@@ -151,9 +151,10 @@ class RegularityCheck:
 def validate_model(model: SMPModel) -> ValidationReport:
     """Collect every invariant violation of a model into a report.
 
-    An empty report means: square row-stochastic jump matrix (rows sum to 1
-    within ROW_SUM_TOL), a sojourn law on every positive edge, nonnegative
-    costs, and a nonnegative finite horizon.
+    An empty report means: square row-stochastic jump matrix of finite
+    entries (rows sum to 1 within ROW_SUM_TOL), a sojourn law on every
+    positive edge, finite nonnegative costs, and a nonnegative finite
+    horizon.
     """
     bad: list[str] = []
     n = len(model.states)
@@ -163,7 +164,9 @@ def validate_model(model: SMPModel) -> ValidationReport:
         return ValidationReport(tuple(bad))
     for x in range(n):
         for y in range(n):
-            if P[x, y] < 0:
+            if not np.isfinite(P[x, y]):
+                bad.append(f"transition[{x}][{y}] = {P[x, y]:.12g} is not finite")
+            elif P[x, y] < 0:
                 bad.append(f"transition[{x}][{y}] = {P[x, y]:.12g} is negative")
         row_sum = float(P[x].sum())
         if abs(row_sum - 1.0) > ROW_SUM_TOL:
@@ -176,7 +179,9 @@ def validate_model(model: SMPModel) -> ValidationReport:
             bad.append(f"{name} has length {arr.shape[0]}, expected {n}")
             continue
         for x, value in enumerate(arr):
-            if value < 0:
+            if not np.isfinite(value):
+                bad.append(f"{name}({model.states.labels[x]}) = {value:.12g} is not finite")
+            elif value < 0:
                 bad.append(f"{name}({model.states.labels[x]}) = {value:.12g} is negative")
     if not (np.isfinite(model.horizon) and model.horizon >= 0):
         bad.append(f"horizon T = {model.horizon!r} must be nonnegative and finite")
@@ -302,6 +307,8 @@ def model_from_dict(data) -> SMPModel:
     ):
         for x in range(n):
             for y in range(n):
+                if not np.isfinite(P[x, y]):
+                    continue  # validate_model reports the entry itself
                 cell = raw_sojourn[x][y]
                 present = rows_ok and P[x, y] > 0
                 if cell is None:

@@ -20,6 +20,8 @@ from .smdp import CONTINUE, STOP, DeterministicMarkovPolicy
 from .solver import StoppingRegion
 
 __all__ = [
+    "MAX_JUMPS",
+    "JumpLimitError",
     "Trajectory",
     "StopOutcome",
     "StoppingRule",
@@ -37,6 +39,15 @@ __all__ = [
     "estimate_value",
     "policy_from_rule",
 ]
+
+# Jumps one path may take before the horizon. Regular kernels average a few
+# jumps per horizon; a kernel whose jumps pile up (a point mass at 1e-300,
+# say) would otherwise never reach the horizon.
+MAX_JUMPS = 100_000
+
+
+class JumpLimitError(RuntimeError):
+    """A sampled path took MAX_JUMPS jumps without reaching the horizon."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,10 @@ def sample_sojourn(dist: SojournDist, rng: np.random.Generator) -> float:
 
 
 def sample_trajectory(model: SMPModel, x0: int, rng: np.random.Generator) -> Trajectory:
-    """Alternate next-state and sojourn draws until a jump lands at or past the horizon."""
+    """Alternate next-state and sojourn draws until a jump lands at or past the horizon.
+
+    Raises JumpLimitError after MAX_JUMPS jumps short of the horizon.
+    """
     n = len(model.states)
     if not 0 <= x0 < n:
         raise ValueError(f"initial state index {x0} out of range")
@@ -161,6 +175,11 @@ def sample_trajectory(model: SMPModel, x0: int, rng: np.random.Generator) -> Tra
     x = int(x0)
     elapsed = 0.0
     while elapsed < horizon:
+        if len(sojourns) == MAX_JUMPS:
+            raise JumpLimitError(
+                f"a path from state {x0} took {MAX_JUMPS} jumps and reached time {elapsed:.6g} "
+                f"of the horizon {horizon:g}; the kernel's jumps pile up inside the horizon"
+            )
         y = min(int(np.searchsorted(cumulative[x], rng.random(), side="right")), n - 1)
         t = sample_sojourn(sojourn[x][y], rng)
         elapsed = elapsed + t

@@ -249,18 +249,23 @@ def write_value_csv(v: ValueGrid, states: StateSpace, path) -> None:
                 fh.write(f"{nodes[k]:.12g},{label},{v.values[k, x]:.12g}\n")
 
 
-def read_value_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Read back (nodes, labels, values) from a value CSV."""
+def _read_grid_csv(path, column: str, parse, fill) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Read (nodes, labels, table) from rows (s, state, <column>); unset cells hold ``fill``."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     labels = tuple(dict.fromkeys(r["state"] for r in rows))
     index = {s: i for i, s in enumerate(labels)}
     nodes = sorted(dict.fromkeys(float(r["s"]) for r in rows))
     node_index = {s: k for k, s in enumerate(nodes)}
-    values = np.full((len(nodes), len(labels)), np.nan)
+    table = np.full((len(nodes), len(labels)), fill)
     for r in rows:
-        values[node_index[float(r["s"])], index[r["state"]]] = float(r["value"])
-    return np.array(nodes), labels, values
+        table[node_index[float(r["s"])], index[r["state"]]] = parse(r[column])
+    return np.array(nodes), labels, table
+
+
+def read_value_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Read back (nodes, labels, values) from a value CSV."""
+    return _read_grid_csv(path, "value", float, np.nan)
 
 
 def write_region_csv(region: StoppingRegion, states: StateSpace, path) -> None:
@@ -274,13 +279,5 @@ def write_region_csv(region: StoppingRegion, states: StateSpace, path) -> None:
 
 
 def read_region_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    labels = tuple(dict.fromkeys(r["state"] for r in rows))
-    index = {s: i for i, s in enumerate(labels)}
-    nodes = sorted(dict.fromkeys(float(r["s"]) for r in rows))
-    node_index = {s: k for k, s in enumerate(nodes)}
-    member = np.zeros((len(nodes), len(labels)), dtype=bool)
-    for r in rows:
-        member[node_index[float(r["s"])], index[r["state"]]] = r["stop"] == "1"
-    return np.array(nodes), labels, member
+    """Read back (nodes, labels, member) from a region CSV."""
+    return _read_grid_csv(path, "stop", lambda cell: cell == "1", False)

@@ -1,7 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import smpstop.smdp
+import smpstop.solver
 from smpstop import (
     CostModel,
     DeterministicMarkovPolicy,
@@ -16,6 +20,33 @@ from smpstop import (
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+
+def reference_convolve_values(kg, v: np.ndarray) -> np.ndarray:
+    """The grid convolution of ``convolve_values`` by direct summation, one edge at a time.
+
+    Every kernel term is nonnegative and the sums run in a fixed order, so
+    the result is monotone in v exactly, also in floating point.
+    """
+    K = kg.grid.steps
+    n = kg.mass.shape[0]
+    out = np.zeros_like(v)
+    for x in range(n):
+        acc = np.zeros(K + 1)
+        for y in range(n):
+            if kg.edges[x, y]:
+                acc = acc + np.convolve(kg.jump_mass[x, y], v[:, y])[: K + 1]
+        out[:, x] = acc
+    return out
+
+
+@contextlib.contextmanager
+def reference_recursion():
+    """Run the solver and decision-process sweeps on ``reference_convolve_values``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smpstop.solver, "convolve_values", reference_convolve_values)
+        patch.setattr(smpstop.smdp, "convolve_values", reference_convolve_values)
+        yield
 
 
 def single_state_model(c=1.0, g=0.5, horizon=1.0, dist=None) -> SMPModel:

@@ -1,4 +1,8 @@
 import json
+import math
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -61,6 +65,48 @@ def test_check_negative_rate(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert run("check", "--model", str(path)) == 2
     assert "rate must be positive" in capsys.readouterr().out
+
+
+def _write_m2_with(tmp_path, edit):
+    from smpstop import model_to_dict
+
+    data = model_to_dict(two_state_model())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("y", [0, 1])
+def test_solve_rejects_nan_transition(tmp_path, capsys, y):
+    path = _write_m2_with(tmp_path, lambda d: d["transition"][0].__setitem__(y, math.nan))
+    assert run("solve", "--model", str(path), "--grid", "64", "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().out == f"model INVALID:\n  - transition[0][{y}] = nan is not finite\n"
+
+
+@pytest.mark.parametrize("key", ["cost_rate", "terminal_cost"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_non_finite_costs(tmp_path, capsys, key, bad):
+    path = _write_m2_with(tmp_path, lambda d: d[key].__setitem__(1, bad))
+    assert run("solve", "--model", str(path), "--grid", "64", "--out", str(tmp_path / "o")) == 2
+    assert f"= {bad} is not finite" in capsys.readouterr().out
+
+
+def test_solve_rejects_infinite_rate(tmp_path, capsys):
+    path = _write_m2_with(tmp_path, lambda d: d["sojourn"][0][1].__setitem__("rate", math.inf))
+    assert run("solve", "--model", str(path), "--grid", "64", "--out", str(tmp_path / "o")) == 2
+    assert "sojourn[0][1]: rate must be finite" in capsys.readouterr().out
+
+
+def test_check_does_not_load_fft(m1_file):
+    # numpy.fft loads on the first sweep; a model check runs none
+    code = (
+        "import sys, smpstop.cli; code = smpstop.cli.main(['check', '--model', sys.argv[1]]); "
+        "print('numpy.fft' in sys.modules); sys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(m1_file)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_check_zero_horizon(tmp_path, capsys):
@@ -220,6 +266,23 @@ def test_simulate_eps_rule_requires_eps(m1_file, tmp_path, capsys):
 def test_simulate_unknown_start_state(m1_file, tmp_path, capsys):
     assert run("simulate", "--model", str(m1_file), "--x0", "zz", "--paths", "10", "--out", str(tmp_path)) == 2
     assert "unknown state" in capsys.readouterr().out
+
+
+def test_simulate_refuses_jumps_piling_up(tmp_path):
+    # both sojourns last 1e-300, so a path would need ~1e300 jumps to reach T
+    def atoms(data):
+        data["sojourn"] = [[None, {"type": "point", "d": 1e-300}], [{"type": "point", "d": 1e-300}, None]]
+
+    path = _write_m2_with(tmp_path, atoms)
+    argv = ["simulate", "--model", str(path), "--rule", "never", "--paths", "10", "--out", str(tmp_path / "o")]
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "smpstop.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2
+    assert "jumps pile up inside the horizon" in proc.stdout
+    assert time.perf_counter() - started < 20.0
+    assert not (tmp_path / "o" / "mc_report.json").exists()
 
 
 def test_simulate_byte_identical_reruns(m2_file, tmp_path):

@@ -89,6 +89,18 @@ def test_cdf_vectorized_matches_scalar(dist_scale):
     np.testing.assert_array_equal(dist.cdf(ts), [dist.cdf(float(t)) for t in ts])
 
 
+def test_weibull_scalar_and_array_agree_bit_for_bit():
+    # 0.3 ** 4 is one point where libm's scalar pow and numpy's vectorized pow differ
+    assert Weibull(4.0, 1.0).cdf(0.3) == Weibull(4.0, 1.0).cdf(np.array([0.3]))[0]
+    rng = np.random.default_rng(59)
+    us = rng.random(2000)
+    ts = rng.uniform(0.0, 3.0, 2000)
+    for shape in (0.7, 1.4, 2.5, 4.0):
+        dist = Weibull(shape, 0.8)
+        np.testing.assert_array_equal(dist.cdf(ts), [dist.cdf(float(t)) for t in ts])
+        np.testing.assert_array_equal(dist.quantile(us), [dist.quantile(float(u)) for u in us])
+
+
 @given(sojourn_dists(), st.integers(0, 2**32 - 1))
 def test_sample_is_strictly_positive(dist_scale, seed):
     dist, _ = dist_scale
@@ -125,6 +137,11 @@ def test_sampling_matches_cdf(dist):
         (lambda: Uniform(-0.1, 1.0), "lower endpoint must be nonnegative"),
         (lambda: Uniform(1.0, 1.0), "upper endpoint must exceed the lower endpoint"),
         (lambda: PointMass(0.0), "atom location must be positive"),
+        (lambda: Exponential(math.inf), "rate must be finite"),
+        (lambda: Weibull(math.inf, 1.0), "shape must be finite"),
+        (lambda: Weibull(1.0, math.nan), "scale must be finite"),
+        (lambda: Uniform(0.0, math.inf), "b must be finite"),
+        (lambda: PointMass(math.inf), "d must be finite"),
     ],
 )
 def test_parameter_validation(build, message):

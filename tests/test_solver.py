@@ -27,7 +27,7 @@ from smpstop import (
 )
 from smpstop.grid import discretize_kernel
 from smpstop.solver import _g_sweep
-from conftest import make_random_model, single_state_model
+from conftest import make_random_model, reference_recursion, single_state_model
 
 EXP1 = 1.0 - math.exp(-1.0)
 
@@ -93,16 +93,18 @@ def test_solve_value_m2_grid_refinement_oracle(m2):
 
 
 def test_solve_value_monotone_and_contraction(m2):
+    """Exact monotonicity holds for the reference recursion's direct sums."""
     grid = TimeGrid(1.0, 256)
     kg = discretize_kernel(m2.kernel, grid)
     beta = contraction_factor(m2)
     v = np.zeros((grid.steps + 1, 2))
     diffs = []
-    for _ in range(30):
-        nxt = _g_sweep(m2, kg, v)
-        assert np.all(nxt >= v)
-        diffs.append(np.max(np.abs(nxt - v)))
-        v = nxt
+    with reference_recursion():
+        for _ in range(30):
+            nxt = _g_sweep(m2, kg, v)
+            assert np.all(nxt >= v)
+            diffs.append(np.max(np.abs(nxt - v)))
+            v = nxt
     for before, after in zip(diffs, diffs[1:]):
         assert after <= beta * before + 1e-12
 
