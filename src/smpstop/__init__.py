@@ -76,7 +76,6 @@ from .simulate import (
     execute_rule,
     path_stream,
     policy_from_rule,
-    sample_sojourn,
     sample_trajectory,
     trajectory_cost,
 )

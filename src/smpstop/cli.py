@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,10 +64,12 @@ class RunConfig:
         bad = []
         if self.grid_steps < 1:
             bad.append("--grid must be at least 1")
-        if not self.tol > 0:
-            bad.append("--tol must be positive")
-        if self.eps is not None and not self.eps > 0:
-            bad.append("--eps must be positive")
+        if not 0 < self.tol < math.inf:
+            bad.append("--tol must be positive and finite")
+        if not 0 <= self.eta < math.inf:
+            bad.append("--eta must be nonnegative and finite")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            bad.append("--eps must be positive and finite")
         if self.n_paths < 2:
             bad.append("--paths must be at least 2")
         return bad

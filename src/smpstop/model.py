@@ -290,13 +290,15 @@ def model_from_dict(data) -> SMPModel:
         bad.append("'T' must be a number")
 
     transition = data["transition"]
-    rows_ok = isinstance(transition, list) and len(transition) == n
     P = np.zeros((n, n))
-    if rows_ok:
+    # rows whose numbers were read; the sojourn table is paired only with these
+    row_read = [False] * n
+    if isinstance(transition, list) and len(transition) == n:
         for x, raw_row in enumerate(transition):
             row = _require_numbers(raw_row, n, f"transition[{x}]", bad)
             if row is not None:
                 P[x] = row
+                row_read[x] = True
     else:
         bad.append(f"'transition' must be a {n}x{n} matrix")
 
@@ -310,12 +312,12 @@ def model_from_dict(data) -> SMPModel:
                 if not np.isfinite(P[x, y]):
                     continue  # validate_model reports the entry itself
                 cell = raw_sojourn[x][y]
-                present = rows_ok and P[x, y] > 0
+                present = P[x, y] > 0
                 if cell is None:
                     if present:
                         bad.append(f"sojourn[{x}][{y}] is null but transition[{x}][{y}] > 0")
                     continue
-                if not present:
+                if not present and row_read[x]:
                     bad.append(f"sojourn[{x}][{y}] must be null where transition[{x}][{y}] = 0")
                     continue
                 try:

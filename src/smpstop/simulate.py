@@ -2,7 +2,11 @@
 
 Each path owns a counter-based random substream derived from the master
 seed and the path index, so estimates are bit-reproducible for a fixed
-(seed, n_paths) no matter how paths are batched across workers.
+(seed, n_paths) no matter how paths are batched. ``estimate_value`` steps
+thousands of paths together on a numpy copy of those substreams; the
+one-path functions (``path_stream``, ``sample_trajectory``,
+``execute_rule``, ``trajectory_cost``) are the reference it reproduces
+bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import SojournDist
 from .grid import TimeGrid
 from .model import SMPModel
 from .smdp import CONTINUE, STOP, DeterministicMarkovPolicy
@@ -32,7 +35,6 @@ __all__ = [
     "HistoryRule",
     "MCReport",
     "path_stream",
-    "sample_sojourn",
     "sample_trajectory",
     "execute_rule",
     "trajectory_cost",
@@ -44,6 +46,15 @@ __all__ = [
 # jumps per horizon; a kernel whose jumps pile up (a point mass at 1e-300,
 # say) would otherwise never reach the horizon.
 MAX_JUMPS = 100_000
+
+# Paths that estimate_value advances together; bounds its working memory.
+_CHUNK = 4096
+
+# Jumps that estimate_value takes in lock-step before it hands the paths of a
+# chunk still short of the horizon to the one-path route, in path order.
+# Regular kernels take a few jumps per horizon. Where jumps pile up, the
+# one-path route reaches MAX_JUMPS at the cost of one path, not of a chunk.
+_LOCKSTEP_JUMPS = 256
 
 
 class JumpLimitError(RuntimeError):
@@ -72,11 +83,20 @@ class StopOutcome:
     stopped_before_horizon: bool
 
 
+def _floor_indices(grid: TimeGrid, s: np.ndarray) -> np.ndarray:
+    """``grid.floor_index`` of every time in s."""
+    return np.clip(np.searchsorted(grid.nodes, s, side="right") - 1, 0, grid.steps)
+
+
 class StoppingRule:
     """Decides at each jump whether to stop, given remaining horizon and state."""
 
     def stops(self, remaining: float, state: int) -> bool:
         raise NotImplementedError
+
+    def stops_many(self, remaining: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """``stops`` on paired arrays of remaining horizons and states."""
+        return np.array([self.stops(r, x) for r, x in zip(remaining.tolist(), states.tolist())], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -87,6 +107,9 @@ class RegionRule(StoppingRule):
 
     def stops(self, remaining, state):
         return self.region.contains(remaining, state)
+
+    def stops_many(self, remaining, states):
+        return (remaining > 0.0) & self.region.member[_floor_indices(self.region.grid, remaining), states]
 
 
 @dataclass(frozen=True)
@@ -100,15 +123,25 @@ class PolicyRule(StoppingRule):
             return False
         return self.policy.action(remaining, state) == STOP
 
+    def stops_many(self, remaining, states):
+        table = self.policy.table
+        return (remaining > 0.0) & (table[_floor_indices(self.policy.grid, remaining), states] == STOP)
+
 
 class AlwaysStop(StoppingRule):
     def stops(self, remaining, state):
+        return remaining > 0.0
+
+    def stops_many(self, remaining, states):
         return remaining > 0.0
 
 
 class NeverStop(StoppingRule):
     def stops(self, remaining, state):
         return False
+
+    def stops_many(self, remaining, states):
+        return np.zeros(len(remaining), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -152,11 +185,6 @@ def path_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=index << 128))
 
 
-def sample_sojourn(dist: SojournDist, rng: np.random.Generator) -> float:
-    """Draw one sojourn by inverse transform; always strictly positive."""
-    return dist.sample(rng)
-
-
 def sample_trajectory(model: SMPModel, x0: int, rng: np.random.Generator) -> Trajectory:
     """Alternate next-state and sojourn draws until a jump lands at or past the horizon.
 
@@ -181,7 +209,7 @@ def sample_trajectory(model: SMPModel, x0: int, rng: np.random.Generator) -> Tra
                 f"of the horizon {horizon:g}; the kernel's jumps pile up inside the horizon"
             )
         y = min(int(np.searchsorted(cumulative[x], rng.random(), side="right")), n - 1)
-        t = sample_sojourn(sojourn[x][y], rng)
+        t = sojourn[x][y].sample(rng)
         elapsed = elapsed + t
         states.append(y)
         sojourns.append(t)
@@ -237,37 +265,217 @@ def trajectory_cost(traj: Trajectory, outcome: StopOutcome, model: SMPModel) -> 
 def estimate_value(model: SMPModel, rule: StoppingRule, x0, n_paths: int, seed: int) -> MCReport:
     """Monte-Carlo mean cost of a stopping rule from x0 over the model horizon.
 
-    The mean is reduced in fixed path order; a degenerate cost sample is
-    reported exactly (zero standard error).
+    Path i draws from ``path_stream(seed, i)``, and its cost, stop index
+    and stop flag are those of ``sample_trajectory``, ``execute_rule`` and
+    ``trajectory_cost`` on that stream, bit for bit; paths only run in
+    chunks of ``_CHUNK``. The mean is reduced in fixed path order; a
+    degenerate cost sample is reported exactly (zero standard error).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     x_idx = model.states.index(x0) if isinstance(x0, str) else int(x0)
-    horizon = model.horizon
+    if not 0 <= x_idx < len(model.states):
+        raise ValueError(f"initial state index {x_idx} out of range")
     costs = np.empty(n_paths)
-    histogram: dict[int, int] = {}
-    stopped_before = 0
-    for i in range(n_paths):
-        rng = path_stream(seed, i)
-        traj = sample_trajectory(model, x_idx, rng)
-        outcome = execute_rule(rule, traj, horizon)
-        costs[i] = trajectory_cost(traj, outcome, model)
-        histogram[outcome.index] = histogram.get(outcome.index, 0) + 1
-        stopped_before += outcome.stopped_before_horizon
+    index = np.empty(n_paths, dtype=np.int64)
+    before = np.empty(n_paths, dtype=bool)
+    for first in range(0, n_paths, _CHUNK):
+        _run_chunk(model, rule, x_idx, seed, first, min(_CHUNK, n_paths - first), (costs, index, before))
     if float(costs.min()) == float(costs.max()):
         mean, std_err = float(costs[0]), 0.0
     else:
         mean = float(costs.mean())
         std_err = float(costs.std(ddof=1) / math.sqrt(n_paths))
+    stop_indices, counts = np.unique(index, return_counts=True)
     return MCReport(
         n_paths=int(n_paths),
         mean=mean,
         std_err=std_err,
         ci95=(mean - 1.96 * std_err, mean + 1.96 * std_err),
         seed=int(seed),
-        stopped_before_frac=stopped_before / n_paths,
-        stop_histogram=dict(sorted(histogram.items())),
+        stopped_before_frac=int(before.sum()) / n_paths,
+        stop_histogram=dict(zip(stop_indices.tolist(), counts.tolist())),
     )
+
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy's ``Philox`` bit generator runs it.
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_WORD = (1 << 64) - 1
+
+
+def _philox(key: int, ctr: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 under a 128-bit key on counters of shape (4, m); output words, shape (4, m).
+
+    numpy has no 64 x 64 -> 128-bit product, so the high word of each one
+    is put together from 32-bit halves.
+    """
+    mul_lo, mul_hi = _PHILOX_MUL & _LOW32, _PHILOX_MUL >> 32
+    k0, k1 = key & _WORD, key >> 64
+    round_keys = []
+    for _ in range(10):
+        round_keys.append([[k0], [k1]])
+        k0, k1 = (k0 + _PHILOX_BUMP[0]) & _WORD, (k1 + _PHILOX_BUMP[1]) & _WORD
+    for round_key in np.array(round_keys, dtype=np.uint64):
+        x = ctr[0::2]  # words 0 and 2 meet the two multipliers
+        x_lo, x_hi = x & _LOW32, x >> 32
+        mid = x_hi * mul_lo
+        mid += (x_lo * mul_lo) >> 32
+        cross = x_lo * mul_hi
+        cross += mid & _LOW32
+        hi = x_hi * mul_hi
+        hi += mid >> 32
+        hi += cross >> 32
+        out = np.empty_like(ctr)
+        np.bitwise_xor(hi[::-1], ctr[1::2], out=out[0::2])
+        out[0::2] ^= round_key
+        np.multiply(x[::-1], _PHILOX_MUL[::-1], out=out[1::2])
+        ctr = out
+    return ctr
+
+
+class _Streams:
+    """Draws of ``path_stream(seed, i)`` for the paths i = first, ..., first + count - 1.
+
+    numpy's Philox bumps word 0 of the counter before it makes a block, so
+    block b of path i comes from the counter (b + 1, 0, i mod 2**64,
+    i >> 64). Each path keeps its current block of four draws, and a draw
+    is (word >> 11) * 2**-53, as in ``Generator.random``.
+    """
+
+    def __init__(self, seed: int, first: int, count: int):
+        self.key = int(seed) & ((1 << 128) - 1)
+        low = np.uint64(first & _WORD)
+        self.lo = low + np.arange(count, dtype=np.uint64)
+        self.hi = np.uint64(first >> 64) + (self.lo < low).astype(np.uint64)
+        self.made = np.zeros(count, dtype=np.uint64)
+        self.pos = np.full(count, 4)
+        self.block = np.empty((count, 4))
+
+    def draw(self, rows: np.ndarray) -> np.ndarray:
+        """The next draw of the path at each row."""
+        pos = self.pos[rows]
+        spent = pos == 4
+        if spent.any():
+            fill = rows[spent]
+            self.made[fill] += np.uint64(1)
+            ctr = np.zeros((4, fill.size), dtype=np.uint64)
+            ctr[0], ctr[2], ctr[3] = self.made[fill], self.lo[fill], self.hi[fill]
+            self.block[fill] = (_philox(self.key, ctr) >> 11).T * 2.0**-53
+            pos[spent] = 0
+        self.pos[rows] = pos + 1
+        return self.block[rows, pos]
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name in ("lo", "hi", "made", "pos", "block"):
+            setattr(self, name, getattr(self, name)[mask])
+
+
+def _groups(keys: np.ndarray):
+    """(key, positions) for each distinct key."""
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    for positions in np.split(order, cuts):
+        yield int(keys[positions[0]]), positions
+
+
+def _draw_sojourns(laws: list, edge: np.ndarray, streams: _Streams) -> np.ndarray:
+    """A sojourn per row on the law of its edge, redrawing zeros as ``SojournDist.sample`` does."""
+    t = np.empty(edge.size)
+    rows = np.arange(edge.size)
+    while rows.size:
+        u = streams.draw(rows)
+        for e, at in _groups(edge[rows]):
+            t[rows[at]] = laws[e].quantile(u[at])
+        rows = rows[~(t[rows] > 0.0)]
+    return t
+
+
+def _settle(model: SMPModel, rule: StoppingRule, traj: Trajectory) -> tuple[float, int, bool]:
+    outcome = execute_rule(rule, traj, model.horizon)
+    return trajectory_cost(traj, outcome, model), outcome.index, outcome.stopped_before_horizon
+
+
+def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: int, count: int, out) -> None:
+    """Cost, stop index and stop flag of paths first, ..., first + count - 1, written into ``out``.
+
+    All paths of the chunk jump together, each on its own stream and in
+    the draw order of ``sample_trajectory``: next state, sojourn, a redraw
+    while the sojourn is 0. Paths keep jumping after the rule fires, as
+    they do there, up to the horizon. Running costs are summed in jump
+    order as in ``trajectory_cost``, each sojourn cut at the horizon. The
+    cut changes only the sojourn that crosses it: if fl(S + t) < T, then
+    S + t < T, and fl(T - S) >= t as rounding is monotone. So one sum
+    serves both a stop by the rule and a stop at the horizon. A
+    ``HistoryRule`` runs ``execute_rule`` on the sampled paths once they
+    are complete.
+    """
+    costs, index, before = out
+    n = len(model.states)
+    horizon = model.horizon
+    cumulative = np.cumsum(model.kernel.transition, axis=1)
+    laws = [law for row in model.kernel.sojourn for law in row]
+    rate, terminal = model.costs.rate, model.costs.terminal
+    history = [] if isinstance(rule, HistoryRule) else None
+    streams = _Streams(seed, first, count)
+    path = np.arange(first, first + count)
+    x = np.full(count, x0)
+    elapsed = np.zeros(count)
+    running = np.zeros(count)
+    # paths the rule has not stopped yet; a HistoryRule decides after sampling
+    pending = np.full(count, history is None)
+    jumps = 0
+    while True:
+        done = ~(elapsed < horizon)
+        if done.any():
+            ended = done & pending
+            costs[path[ended]] = running[ended]
+            index[path[ended]] = jumps
+            before[path[ended]] = False
+            live = ~done
+            path, x, elapsed, running, pending = (a[live] for a in (path, x, elapsed, running, pending))
+            streams.keep(live)
+        if path.size == 0 or jumps == min(_LOCKSTEP_JUMPS, MAX_JUMPS):
+            break
+        if history is None:
+            rows = np.flatnonzero(pending)
+            fired = rows[rule.stops_many(horizon - elapsed[rows], x[rows])]
+            costs[path[fired]] = running[fired] + terminal[x[fired]]
+            index[path[fired]] = jumps
+            before[path[fired]] = True
+            pending[fired] = False
+        every = np.arange(path.size)
+        y = np.minimum((cumulative[x] <= streams.draw(every)[:, None]).sum(axis=1), n - 1)
+        t = _draw_sojourns(laws, x * n + y, streams)
+        running = running + rate[x] * np.minimum(horizon - elapsed, t)
+        elapsed = elapsed + t
+        x = y
+        jumps += 1
+        if history is not None:
+            history.append((path, y, t, elapsed))
+    for i in path.tolist():
+        traj = sample_trajectory(model, x0, path_stream(seed, i))
+        costs[i], index[i], before[i] = _settle(model, rule, traj)
+    if history is not None:
+        _settle_history(model, rule, x0, range(first, first + count), history, set(path.tolist()), out)
+
+
+def _settle_history(model, rule, x0, paths, history, skip, out) -> None:
+    """Settle every path not in ``skip`` on its trajectory rebuilt from the lock-step record."""
+    states = {i: [x0] for i in paths}
+    sojourns = {i: [] for i in paths}
+    times = {i: [0.0] for i in paths}
+    for path, y, t, elapsed in history:
+        for i, yi, ti, si in zip(path.tolist(), y.tolist(), t.tolist(), elapsed.tolist()):
+            states[i].append(yi)
+            sojourns[i].append(ti)
+            times[i].append(si)
+    costs, index, before = out
+    for i in paths:
+        if i not in skip:
+            traj = Trajectory(states=tuple(states[i]), sojourns=tuple(sojourns[i]), jump_times=tuple(times[i]))
+            costs[i], index[i], before[i] = _settle(model, rule, traj)
 
 
 def policy_from_rule(rule: StoppingRule, model: SMPModel, grid: TimeGrid) -> DeterministicMarkovPolicy:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -294,6 +295,25 @@ def test_simulate_byte_identical_reruns(m2_file, tmp_path):
     assert (out1 / "mc_report.json").read_bytes() == (out2 / "mc_report.json").read_bytes()
 
 
+# sha256 of the mc_report.json that the one-path-at-a-time simulator wrote for
+# these flags; the batched engine must reproduce every byte. The optimal
+# report also holds the solver's dp_value.
+GOLDEN_REPORTS = [
+    ("optimal", (), 7, "b76d77de9392c5d201e6fcf25ae20a298579cf68b07f54898adfdf4c9138da75"),
+    ("eps", ("--eps", "0.01"), 8, "6adf5ba220927f52d61e03808086b8f384cea24b379b77cc8d7e227eab16d418"),
+    ("always", (), 9, "8e84af02a8adbf389f0538f256cf083c626e3ce9d8a8e3303a4f294e25fe36de"),
+    ("never", (), 10, "71c3cd2c2dd589483f8520656f1c936e52cd9e2488af4ac9725f4e0ec30a5fbe"),
+]
+
+
+@pytest.mark.parametrize("rule, extra, seed, digest", GOLDEN_REPORTS, ids=[g[0] for g in GOLDEN_REPORTS])
+def test_simulate_reports_match_recorded_hashes(m2_file, tmp_path, rule, extra, seed, digest):
+    args = ["simulate", "--model", str(m2_file), "--rule", rule, "--grid", "256", "--paths", "3000",
+            "--seed", str(seed), "--x0", "b", "--out", str(tmp_path), *extra]
+    assert run(*args) == 0
+    assert hashlib.sha256((tmp_path / "mc_report.json").read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -303,3 +323,25 @@ def test_config_rejects_bad_numbers(m1_file, capsys):
     assert run("solve", "--model", str(m1_file), "--tol", "0") == 2
     assert run("simulate", "--model", str(m1_file), "--paths", "1") == 2
     assert run("eps", "--model", str(m1_file), "--eps", "-1") == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_config_rejects_non_finite_tol(m1_file, tmp_path, capsys, value):
+    assert run("solve", "--model", str(m1_file), "--tol", value, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().out == "--tol must be positive and finite\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_config_rejects_non_finite_eps(m1_file, tmp_path, capsys, value):
+    assert run("eps", "--model", str(m1_file), "--eps", value, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().out == "--eps must be positive and finite\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.001"])
+def test_config_rejects_bad_eta(m1_file, tmp_path, capsys, value):
+    assert run("solve", "--model", str(m1_file), "--eta", value, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().out == "--eta must be nonnegative and finite\n"
+    assert not (tmp_path / "o").exists()
+    assert run("solve", "--model", str(m1_file), "--eta", "0", "--grid", "64", "--out", str(tmp_path / "o")) == 0

@@ -1,0 +1,280 @@
+"""The batched Monte-Carlo engine of ``estimate_value`` against the one-path route.
+
+The reference is the loop ``path_stream`` -> ``sample_trajectory`` ->
+``execute_rule`` -> ``trajectory_cost`` over paths 0..n-1, reduced as
+``estimate_value`` reduces. Reports must match it, and each other across
+chunk sizes, bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import smpstop.simulate as sim
+from smpstop import (
+    AlwaysStop,
+    CostModel,
+    DeterministicMarkovPolicy,
+    Exponential,
+    HistoryRule,
+    MCReport,
+    NeverStop,
+    PointMass,
+    PolicyRule,
+    RegionRule,
+    SemiMarkovKernel,
+    SMPModel,
+    StateSpace,
+    StoppingRegion,
+    StoppingRule,
+    TimeGrid,
+    Uniform,
+    Weibull,
+    build_smdp,
+    execute_rule,
+    path_stream,
+    sample_trajectory,
+    solve_value,
+    stopping_region,
+    trajectory_cost,
+)
+from conftest import make_random_model, make_random_policy, two_state_model
+
+# (-log1p(-u)) ** 250 underflows to 0 for u below about 0.05, so about one
+# draw in twenty on this law is a zero sojourn that must be redrawn.
+UNDERFLOWING = Weibull(shape=0.004, scale=1.0)
+
+
+def edge_case_model() -> SMPModel:
+    """Three states whose laws cover a zero-sojourn redraw, a point mass and Uniform with a = 0."""
+    return SMPModel(
+        states=StateSpace(("p", "q", "r")),
+        kernel=SemiMarkovKernel(
+            np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75], [0.5, 0.5, 0.0]]),
+            (
+                (None, Uniform(0.0, 0.6), PointMass(0.3)),
+                (UNDERFLOWING, None, Exponential(3.0)),
+                (Weibull(0.7, 0.3), PointMass(0.45), None),
+            ),
+        ),
+        costs=CostModel(np.array([1.0, 0.2, 2.5]), np.array([0.6, 0.9, 0.1])),
+        horizon=1.0,
+    )
+
+
+class OddRemaining(StoppingRule):
+    """A rule with only the one-path ``stops``, so the engine falls back to it."""
+
+    def stops(self, remaining, state):
+        return state == 1 and int(remaining * 1000) % 2 == 1
+
+
+def reference_report(model, rule, x0, n_paths, seed) -> MCReport:
+    x_idx = model.states.index(x0)
+    costs = np.empty(n_paths)
+    histogram: dict[int, int] = {}
+    stopped_before = 0
+    for i in range(n_paths):
+        traj = sample_trajectory(model, x_idx, path_stream(seed, i))
+        outcome = execute_rule(rule, traj, model.horizon)
+        costs[i] = trajectory_cost(traj, outcome, model)
+        histogram[outcome.index] = histogram.get(outcome.index, 0) + 1
+        stopped_before += outcome.stopped_before_horizon
+    if float(costs.min()) == float(costs.max()):
+        mean, std_err = float(costs[0]), 0.0
+    else:
+        mean = float(costs.mean())
+        std_err = float(costs.std(ddof=1) / math.sqrt(n_paths))
+    return MCReport(
+        n_paths=n_paths,
+        mean=mean,
+        std_err=std_err,
+        ci95=(mean - 1.96 * std_err, mean + 1.96 * std_err),
+        seed=seed,
+        stopped_before_frac=stopped_before / n_paths,
+        stop_histogram=dict(sorted(histogram.items())),
+    )
+
+
+def rules_for(model: SMPModel) -> dict[str, StoppingRule]:
+    grid = TimeGrid(model.horizon, 64)
+    v, _ = solve_value(model, grid, tol=1e-9)
+    policy = make_random_policy(np.random.default_rng(5), len(model.states), grid)
+    return {
+        "region": RegionRule(stopping_region(v, model)),
+        "policy": PolicyRule(policy),
+        "always": AlwaysStop(),
+        "never": NeverStop(),
+        "history": HistoryRule(lambda remaining, states, sojourns: len(sojourns) >= 2 and states[-1] != states[0]),
+        "fallback": OddRemaining(),
+    }
+
+
+def batched_reports(model, rule, x0, n_paths, seed, chunks, monkeypatch):
+    reports = []
+    for chunk in chunks:
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        reports.append(sim.estimate_value(model, rule, x0, n_paths, seed))
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# streams
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 + 5, 2**128 + 7, -3])
+@pytest.mark.parametrize("first", [0, 9, 2**64 - 3])
+def test_streams_match_path_stream_bit_for_bit(seed, first):
+    # 11 draws cross two block boundaries; paths 2**64 - 3 .. 2**64 + 2 carry into counter word 3
+    count, k = 6, 11
+    streams = sim._Streams(seed, first, count)
+    rows = np.arange(count)
+    got = np.column_stack([streams.draw(rows) for _ in range(k)])
+    want = np.array([path_stream(seed, first + j).random(k) for j in range(count)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_streams_draw_for_a_subset_of_rows():
+    # paths drawing at different rates keep their own place in their own stream
+    streams = sim._Streams(7, 100, 3)
+    drawn = {0: [], 1: [], 2: []}
+    for rows in ([0, 1, 2], [1], [1], [1, 2], [1], [0, 1, 2], [1], [1]):
+        for r, u in zip(rows, streams.draw(np.array(rows)).tolist()):
+            drawn[r].append(u)
+    for r, draws in drawn.items():
+        assert draws == path_stream(7, 100 + r).random(len(draws)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# rules on arrays
+
+
+def everywhere_rules(grid: TimeGrid, n: int) -> dict[str, StoppingRule]:
+    """A region and a table that stop at every node, zero remaining horizon included."""
+    table = np.ones((grid.steps + 1, n + 1), dtype=np.int8)
+    return {
+        "full_region": RegionRule(StoppingRegion(grid, np.ones((grid.steps + 1, n), dtype=bool), (None,) * n)),
+        "full_policy": PolicyRule(DeterministicMarkovPolicy(grid, table, zero_at_origin=False)),
+    }
+
+
+@pytest.mark.parametrize("name", ["region", "policy", "always", "never", "fallback", "full_region", "full_policy"])
+def test_stops_many_matches_stops(name):
+    model = edge_case_model()
+    grid = TimeGrid(model.horizon, 64)
+    rule = {**rules_for(model), **everywhere_rules(grid, 3)}[name]
+    rng = np.random.default_rng(3)
+    remaining = np.concatenate([grid.nodes, rng.uniform(-0.1, 1.2, 300), np.nextafter(grid.nodes, 0.0), [-0.0]])
+    states = rng.integers(0, 3, remaining.size)
+    want = [rule.stops(r, x) for r, x in zip(remaining.tolist(), states.tolist())]
+    assert rule.stops_many(remaining, states).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# reports: independent of the chunk size, equal to the one-path route
+
+
+@pytest.mark.parametrize("name", ["region", "policy", "always", "never", "history", "fallback"])
+@pytest.mark.parametrize("make_model", [two_state_model, edge_case_model])
+def test_report_is_independent_of_chunk_size(make_model, name, monkeypatch):
+    model = make_model()
+    rule = rules_for(model)[name]
+    n_paths, seed = 301, 11
+    x0 = model.states.labels[-1]
+    reports = batched_reports(model, rule, x0, n_paths, seed, (1, 7, n_paths), monkeypatch)
+    want = reference_report(model, rule, x0, n_paths, seed)
+    for report in reports:
+        assert report == want
+        assert repr(report.to_json_dict()) == repr(want.to_json_dict())
+
+
+def test_edge_case_model_redraws_zero_sojourns():
+    # the reference consumes more than two draws per jump on some paths
+    assert UNDERFLOWING.quantile(0.01) == 0.0
+    model = edge_case_model()
+    redrawn = 0
+    for i in range(301):
+        rng = path_stream(11, i)
+        traj = sample_trajectory(model, 2, rng)
+        state = rng.bit_generator.state
+        draws = 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
+        redrawn += draws > 2 * len(traj.sojourns)
+    assert redrawn > 0
+
+
+@pytest.mark.parametrize("name", ["region", "history"])
+def test_paths_handed_to_the_one_path_route(name, monkeypatch):
+    # with a lock-step budget of two jumps most paths finish on the one-path route
+    model = edge_case_model()
+    rule = rules_for(model)[name]
+    monkeypatch.setattr(sim, "_LOCKSTEP_JUMPS", 2)
+    reports = batched_reports(model, rule, "p", 200, 4, (7, 200), monkeypatch)
+    want = reference_report(model, rule, "p", 200, 4)
+    assert reports == [want, want]
+
+
+def piling_up_model() -> SMPModel:
+    """Both sojourns last 1e-300, so no path reaches the horizon within MAX_JUMPS jumps."""
+    return SMPModel(
+        states=StateSpace(("a", "b")),
+        kernel=SemiMarkovKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), ((None, PointMass(1e-300)), (PointMass(1e-300), None))),
+        costs=CostModel(np.array([1.0, 1.0]), np.array([0.5, 0.5])),
+        horizon=1.0,
+    )
+
+
+def test_jump_limit_error_matches_the_one_path_route(monkeypatch):
+    model = piling_up_model()
+    monkeypatch.setattr(sim, "MAX_JUMPS", 40)
+    with pytest.raises(sim.JumpLimitError) as want:
+        sample_trajectory(model, 1, path_stream(0, 0))
+    for lockstep in (10, 40, 256):
+        monkeypatch.setattr(sim, "_LOCKSTEP_JUMPS", lockstep)
+        with pytest.raises(sim.JumpLimitError) as got:
+            sim.estimate_value(model, AlwaysStop(), "b", 50, 0)
+        assert str(got.value) == str(want.value)
+
+
+def test_piling_up_costs_the_lock_step_budget_then_one_path(monkeypatch):
+    # a chunk of many paths steps _LOCKSTEP_JUMPS times, then one path runs into MAX_JUMPS alone
+    steps, made = [], []
+    draw_sojourns, sample = sim._draw_sojourns, sim.sample_trajectory
+    monkeypatch.setattr(sim, "_draw_sojourns", lambda *a: steps.append(1) or draw_sojourns(*a))
+    monkeypatch.setattr(sim, "sample_trajectory", lambda *a: made.append(1) or sample(*a))
+    with pytest.raises(sim.JumpLimitError):
+        sim.estimate_value(piling_up_model(), NeverStop(), "a", 1000, 3)
+    assert len(steps) == sim._LOCKSTEP_JUMPS < sim.MAX_JUMPS
+    assert len(made) == 1
+
+
+def test_zero_horizon_paths_end_at_once():
+    model = SMPModel(
+        states=StateSpace(("a",)),
+        kernel=SemiMarkovKernel(np.array([[1.0]]), ((Exponential(1.0),),)),
+        costs=CostModel(np.array([1.0]), np.array([0.5])),
+        horizon=0.0,
+    )
+    for rule in (AlwaysStop(), NeverStop(), HistoryRule(lambda r, xs, ts: True)):
+        report = sim.estimate_value(model, rule, "a", 5, 1)
+        assert report == reference_report(model, rule, "a", 5, 1)
+        assert report.stop_histogram == {0: 5}
+
+
+def test_rejects_a_start_state_out_of_range(m1):
+    with pytest.raises(ValueError, match="out of range"):
+        sim.estimate_value(m1, NeverStop(), 3, 10, 0)
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 10**9))
+def test_random_models_match_the_one_path_route(seed):
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng)
+    grid = TimeGrid(model.horizon, 32)
+    policy = make_random_policy(rng, build_smdp(model).n_base, grid)
+    x0 = model.states.labels[int(rng.integers(0, len(model.states)))]
+    for rule in (PolicyRule(policy), NeverStop(), HistoryRule(lambda r, xs, ts: r < 0.5 * model.horizon)):
+        assert sim.estimate_value(model, rule, x0, 40, seed) == reference_report(model, rule, x0, 40, seed)

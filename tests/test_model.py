@@ -349,3 +349,32 @@ def test_loader_invalid_json(tmp_path):
     with pytest.raises(ModelFormatError) as err:
         load_model(path)
     assert any("invalid JSON" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["transition"][0].__setitem__(0, "x"), "'transition[0]' must be a list of 2 numbers"),
+        (lambda d: d["transition"].__setitem__(1, [1.0]), "'transition[1]' must be a list of 2 numbers"),
+        (lambda d: d.update(transition=[[1.0]]), "'transition' must be a 2x2 matrix"),
+    ],
+)
+def test_unread_transition_rows_are_not_paired_with_sojourns(mutate, message):
+    # a row that is not a list of numbers gives one message, not one per sojourn cell
+    data = spec_example_dict()
+    mutate(data)
+    with pytest.raises(ModelFormatError) as err:
+        model_from_dict(data)
+    assert err.value.violations == (message,)
+
+
+def test_sojourn_cells_of_unread_rows_are_still_decoded():
+    data = spec_example_dict()
+    data["transition"][0][0] = "x"
+    data["sojourn"][0][1] = {"type": "exp", "rate": -1.0}
+    with pytest.raises(ModelFormatError) as err:
+        model_from_dict(data)
+    assert err.value.violations == (
+        "'transition[0]' must be a list of 2 numbers",
+        "sojourn[0][1]: rate must be positive",
+    )

@@ -22,7 +22,6 @@ from smpstop import (
     solve_smdp,
     path_stream,
     policy_from_rule,
-    sample_sojourn,
     sample_trajectory,
     solve_value,
     stopping_region,
@@ -46,7 +45,7 @@ def m2_solved():
 
 def test_sample_sojourn_pointmass_exact():
     rng = np.random.default_rng(0)
-    assert sample_sojourn(PointMass(0.3), rng) == 0.3
+    assert PointMass(0.3).sample(rng) == 0.3
 
 
 def test_path_stream_is_reproducible_and_order_free():
