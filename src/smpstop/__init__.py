@@ -33,7 +33,6 @@ from .smdp import (
     STOP,
     DeterministicMarkovPolicy,
     SMDPModel,
-    SMDPValueGrid,
     SolveReport,
     apply_T,
     apply_T_action,
@@ -56,6 +55,7 @@ from .solver import (
     iteration_budget,
     read_region_csv,
     read_value_csv,
+    route_discrepancy,
     solve_value,
     stopping_region,
     write_region_csv,

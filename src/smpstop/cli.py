@@ -1,8 +1,9 @@
 """Command line front end: validate models, solve stopping problems, simulate rules.
 
 Exit codes: 0 success, 2 schema or validation failure (also a kernel whose
-simulated jumps pile up inside the horizon), 3 iteration budget exhausted,
-4 contraction hypothesis violated, 5 unknown simulation rule.
+simulated jumps pile up inside the horizon, and a --tol or --eps too small
+for any iteration budget), 3 iteration budget exhausted, 4 contraction
+hypothesis violated, 5 unknown simulation rule.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from .model import (
     validate_model,
 )
 from .simulate import AlwaysStop, JumpLimitError, NeverStop, RegionRule, estimate_value
+from .smdp import build_smdp, solve_smdp
 from .solver import (
     ContractionError,
-    cross_check,
     eps_region,
     exactness_gap,
+    route_discrepancy,
     solve_value,
     stopping_region,
     write_region_csv,
@@ -46,7 +48,7 @@ RULE_NAMES = ("optimal", "eps", "always", "never")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All tunables of one CLI invocation, with the documented defaults."""
+    """All tunables of one CLI invocation; its field defaults are the CLI's only defaults."""
 
     model_path: str
     command: str
@@ -123,12 +125,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     except ValueError as err:
         print(f"cannot build the grid: {err}")
         return EXIT_SCHEMA
+    try:
+        v, report = solve_value(model, grid, tol=cfg.tol)
+        u, _ = solve_smdp(build_smdp(model), grid, tol=cfg.tol)
+    except ValueError as err:
+        print(f"no iteration budget for --tol: {err}")
+        return EXIT_SCHEMA
+    discrepancy = route_discrepancy(v, u)
+    region = stopping_region(v, model, eta=cfg.eta)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    v, report = solve_value(model, grid, tol=cfg.tol)
-    region = stopping_region(v, model, eta=cfg.eta)
-    discrepancy = cross_check(model, grid, tol=cfg.tol)
     write_value_csv(v, model.states, out / "value.csv")
     write_region_csv(region, model.states, out / "region.csv")
     _write_json(
@@ -172,6 +178,9 @@ def cmd_eps(cfg: RunConfig) -> int:
     except ContractionError as err:
         print(f"contraction hypothesis violated; use the solve command instead ({err})")
         return EXIT_CONTRACTION
+    except ValueError as err:
+        print(f"no iteration budget for --eps: {err}")
+        return EXIT_SCHEMA
     gap = exactness_gap(model, result.region, result.refined)
     verdict = "exact" if gap > cfg.eps else "eps-optimal"
     out = Path(cfg.out_dir)
@@ -223,7 +232,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
             print(f"cannot build the grid: {err}")
             return EXIT_SCHEMA
     if cfg.rule == "optimal":
-        v, _ = solve_value(model, grid, tol=cfg.tol)
+        try:
+            v, _ = solve_value(model, grid, tol=cfg.tol)
+        except ValueError as err:
+            print(f"no iteration budget for --tol: {err}")
+            return EXIT_SCHEMA
         rule = RegionRule(stopping_region(v, model, eta=cfg.eta))
         dp_value = float(v.values[-1, model.states.index(x0)])
     elif cfg.rule == "eps":
@@ -235,6 +248,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         except ContractionError as err:
             print(f"contraction hypothesis violated; use rule 'optimal' instead ({err})")
             return EXIT_CONTRACTION
+        except ValueError as err:
+            print(f"no iteration budget for --eps: {err}")
+            return EXIT_SCHEMA
     elif cfg.rule == "always":
         rule = AlwaysStop()
     else:
@@ -261,44 +277,35 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags store under ``RunConfig`` field names; an absent flag takes the field's default."""
     parser = argparse.ArgumentParser(
         prog="smpstop",
         description="Finite-horizon optimal stopping of semi-Markov processes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", required=True, help="model JSON file")
-    common.add_argument("--grid", type=int, default=1024, metavar="K", help="time grid steps")
-    common.add_argument("--tol", type=float, default=1e-9, help="fixed-point tolerance")
-    common.add_argument("--eta", type=float, default=1e-6, help="relative stop-payoff tolerance")
-    common.add_argument("--out", default=".", metavar="DIR", help="output directory")
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--model", dest="model_path", required=True, metavar="MODEL", help="model JSON file")
+    common.add_argument("--grid", dest="grid_steps", type=int, metavar="K", help="time grid steps")
+    common.add_argument("--tol", type=float, help="fixed-point tolerance")
+    common.add_argument("--eta", type=float, help="relative stop-payoff tolerance")
+    common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     sub.add_parser("check", parents=[common], help="validate a model and print regularity diagnostics")
     sub.add_parser("solve", parents=[common], help="solve the value function and stopping region")
     p_eps = sub.add_parser("eps", parents=[common], help="budgeted iteration and eps-stopping region")
     p_eps.add_argument("--eps", type=float, required=True, help="accuracy target")
-    p_sim = sub.add_parser("simulate", parents=[common], help="Monte-Carlo cost of a stopping rule")
-    p_sim.add_argument("--rule", default="optimal", metavar="NAME", help="optimal, eps, always, or never")
-    p_sim.add_argument("--paths", type=int, default=100000, metavar="N")
-    p_sim.add_argument("--seed", type=int, default=42, metavar="S")
-    p_sim.add_argument("--x0", default=None, metavar="NAME", help="initial state (default: first)")
-    p_sim.add_argument("--eps", type=float, default=None, help="accuracy target for rule 'eps'")
+    p_sim = sub.add_parser(
+        "simulate", parents=[common], argument_default=argparse.SUPPRESS, help="Monte-Carlo cost of a stopping rule"
+    )
+    p_sim.add_argument("--rule", metavar="NAME", help="optimal, eps, always, or never")
+    p_sim.add_argument("--paths", dest="n_paths", type=int, metavar="N")
+    p_sim.add_argument("--seed", type=int, metavar="S")
+    p_sim.add_argument("--x0", metavar="NAME", help="initial state (default: first)")
+    p_sim.add_argument("--eps", type=float, help="accuracy target for rule 'eps'")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        model_path=args.model,
-        command=args.command,
-        grid_steps=args.grid,
-        tol=args.tol,
-        eta=args.eta,
-        eps=getattr(args, "eps", None),
-        n_paths=getattr(args, "paths", 100000),
-        seed=getattr(args, "seed", 42),
-        out_dir=args.out,
-        x0=getattr(args, "x0", None),
-        rule=getattr(args, "rule", "optimal"),
-    )
+    return RunConfig(**vars(args))
 
 
 def main(argv=None) -> int:

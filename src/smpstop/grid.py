@@ -10,7 +10,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .model import SemiMarkovKernel
 
-__all__ = ["TimeGrid", "KernelGrid", "discretize_kernel", "convolve_values"]
+__all__ = ["TimeGrid", "ValueGrid", "KernelGrid", "discretize_kernel", "convolve_values"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,17 @@ class TimeGrid:
         """Largest k with node_k <= s, clipped into [0, steps]."""
         k = int(np.searchsorted(self._nodes, s, side="right")) - 1
         return min(max(k, 0), self.steps)
+
+
+@dataclass
+class ValueGrid:
+    """Value table on grid nodes, one column per state."""
+
+    grid: TimeGrid
+    values: np.ndarray
+
+    def value(self, s: float, x: int) -> float:
+        return float(self.values[self.grid.index_of(s), x])
 
 
 @dataclass(frozen=True)

@@ -6,23 +6,28 @@ the process in the rest state with a sojourn longer than any horizon, so no
 further cost can accrue. Value iteration on this process computes the
 minimal expected cost over all stop/continue strategies, the argmin yields
 an optimal decision table, and a fixed table can be evaluated the same way.
+
+This module also holds the one fixed-point engine that every solve runs
+(``_fixed_point``), the one continuation term that every sweep uses
+(``_continuation``), and the one geometric budget formula
+(``_geometric_budget``); the stopping recursion in ``solver`` builds on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .grid import TimeGrid, KernelGrid, convolve_values, discretize_kernel
+from .grid import KernelGrid, TimeGrid, ValueGrid, convolve_values, discretize_kernel
 from .model import SMPModel, contraction_factor, kernel_mass
 
 __all__ = [
     "CONTINUE",
     "STOP",
     "SMDPModel",
-    "SMDPValueGrid",
     "DeterministicMarkovPolicy",
     "SolveReport",
     "build_smdp",
@@ -32,7 +37,6 @@ __all__ = [
     "solve_smdp",
     "extract_optimal_policy",
     "evaluate_policy",
-    "default_max_iter",
     "stop_tolerance",
 ]
 
@@ -112,17 +116,6 @@ def check_smdp_regularity(sm: SMDPModel, delta: float, eps: float) -> bool:
     return all(sm.controlled_mass(x, CONTINUE, d_hat) <= bound for x in range(sm.n_base))
 
 
-@dataclass
-class SMDPValueGrid:
-    """Values on grid nodes for every extended state; the rest column stays zero."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def value(self, s: float, x: int) -> float:
-        return float(self.values[self.grid.index_of(s), x])
-
-
 @dataclass(frozen=True)
 class DeterministicMarkovPolicy:
     """Action table on grid nodes; the last column is the rest state.
@@ -170,50 +163,96 @@ def stop_tolerance(terminal: np.ndarray, eta: float) -> np.ndarray:
     return eta * (1.0 + terminal)
 
 
-def default_max_iter(model: SMPModel, tol: float) -> int:
-    # ~10x the geometric-convergence bound when it exists, floored to guard
-    # kernels with jump mass near 1 within the horizon
+def _geometric_budget(model: SMPModel, eps: float) -> tuple[float, float, int | None]:
+    """(beta, M, N) of ``solver.iteration_budget``, also behind the default ``max_iter``.
+
+    N is None when beta >= 1. An eps so small that eps (1 - beta)
+    underflows to zero has no count and raises ValueError.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     beta = contraction_factor(model)
-    if 0.0 < beta < 1.0:
-        m_bound = model.horizon * float(model.costs.rate.max()) + float(model.costs.terminal.max())
-        raw = (math.log(tol * (1.0 - beta)) - math.log(m_bound + 1.0)) / math.log(beta)
-        return max(1000, 10 * max(1, math.ceil(raw)))
-    return 1000
+    m_bound = model.horizon * float(model.costs.rate.max()) + float(model.costs.terminal.max())
+    if beta >= 1.0:
+        return beta, m_bound, None
+    if beta == 0.0:
+        return beta, m_bound, 1
+    scaled = eps * (1.0 - beta)
+    if scaled == 0.0:
+        raise ValueError(f"{eps!r} * (1 - beta) underflows to zero; no iteration count reaches it")
+    raw = (math.log(scaled) - math.log(m_bound + 1.0)) / math.log(beta)
+    return beta, m_bound, max(1, math.ceil(raw))
 
 
-def _continuation(sm: SMDPModel, kg: KernelGrid, values: np.ndarray) -> np.ndarray:
-    """Continue-action values on base states for all nodes: c * survival + convolution."""
-    n = sm.n_base
-    v_base = np.ascontiguousarray(values[:, :n])
-    return sm.base.costs.rate[None, :] * kg.survival.T + convolve_values(kg, v_base)
+def _fixed_point(
+    model: SMPModel,
+    grid: TimeGrid,
+    width: int,
+    sweep: Callable[[KernelGrid, np.ndarray], np.ndarray],
+    tol: float,
+    max_iter: int | None,
+) -> tuple[ValueGrid, SolveReport]:
+    """Iterate ``sweep`` from a zero table of ``width`` columns up to its fixed point.
+
+    The loop stops when the sup-norm successive difference drops to
+    ``tol``; budget exhaustion is flagged in the report and the last
+    iterate is still returned. The fixed-point residual is re-verified with
+    one extra sweep. The default budget is max(1000, 10 N(tol)) sweeps,
+    ~10x the geometric bound, when beta < 1 and 1000 otherwise: the floor
+    guards kernels with jump mass near 1 within the horizon.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter is None:
+        n_iter = _geometric_budget(model, tol)[2]
+        max_iter = 1000 if n_iter is None else max(1000, 10 * n_iter)
+    kg = discretize_kernel(model.kernel, grid)
+    values = np.zeros((grid.steps + 1, width))
+    diffs: list[float] = []
+    for _ in range(max_iter):
+        nxt = sweep(kg, values)
+        diffs.append(float(np.max(np.abs(nxt - values))))
+        values = nxt
+        if diffs[-1] <= tol:
+            break
+    residual = float(np.max(np.abs(sweep(kg, values) - values)))
+    report = SolveReport(
+        iterations=len(diffs),
+        final_diff=diffs[-1] if diffs else 0.0,
+        residual=residual,
+        converged=bool(diffs) and diffs[-1] <= tol,
+        sup_diffs=tuple(diffs),
+    )
+    return ValueGrid(grid=grid, values=values), report
 
 
-def _t_sweep(sm: SMDPModel, kg: KernelGrid, values: np.ndarray, tie_break: str = "stop") -> np.ndarray:
-    cont = _continuation(sm, kg, values)
-    stop = np.broadcast_to(sm.base.costs.terminal[None, :], cont.shape)
+def _continuation(model: SMPModel, kg: KernelGrid, values: np.ndarray) -> np.ndarray:
+    """Continue-action values on base states for all nodes: c * survival + convolution.
+
+    Columns of ``values`` past the base states (the rest state) are ignored.
+    """
+    v_base = np.ascontiguousarray(values[:, : len(model.states)])
+    return model.costs.rate[None, :] * kg.survival.T + convolve_values(kg, v_base)
+
+
+def _t_sweep(sm: SMDPModel, kg: KernelGrid, values: np.ndarray) -> np.ndarray:
     out = np.empty_like(values)
-    if tie_break == "stop":
-        out[:, : sm.n_base] = np.where(stop <= cont, stop, cont)
-    elif tie_break == "continue":
-        out[:, : sm.n_base] = np.where(cont <= stop, cont, stop)
-    else:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+    out[:, : sm.n_base] = np.minimum(_continuation(sm.base, kg, values), sm.base.costs.terminal[None, :])
     out[:, sm.n_base] = 0.0
     return out
 
 
 def _policy_sweep(sm: SMDPModel, kg: KernelGrid, table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    cont = _continuation(sm, kg, values)
-    stop = np.broadcast_to(sm.base.costs.terminal[None, :], cont.shape)
     out = np.empty_like(values)
-    out[:, : sm.n_base] = np.where(table[:, : sm.n_base] == STOP, stop, cont)
+    stop = table[:, : sm.n_base] == STOP
+    out[:, : sm.n_base] = np.where(stop, sm.base.costs.terminal[None, :], _continuation(sm.base, kg, values))
     out[:, sm.n_base] = 0.0
     return out
 
 
 def apply_T_action(
     sm: SMDPModel,
-    v: SMDPValueGrid,
+    v: ValueGrid,
     x: int,
     a: int,
     s: float,
@@ -243,11 +282,11 @@ def apply_T_action(
     return sm.cost_rate(x, CONTINUE) * float(kg.survival[x, k]) + conv
 
 
-def apply_T(sm: SMDPModel, v: SMDPValueGrid, kg: KernelGrid | None = None) -> SMDPValueGrid:
+def apply_T(sm: SMDPModel, v: ValueGrid, kg: KernelGrid | None = None) -> ValueGrid:
     """Pointwise minimum of the action operators over admissible actions."""
     if kg is None:
         kg = discretize_kernel(sm.base.kernel, v.grid)
-    return SMDPValueGrid(grid=v.grid, values=_t_sweep(sm, kg, v.values))
+    return ValueGrid(grid=v.grid, values=_t_sweep(sm, kg, v.values))
 
 
 def solve_smdp(
@@ -255,43 +294,16 @@ def solve_smdp(
     grid: TimeGrid,
     tol: float = 1e-9,
     max_iter: int | None = None,
-    tie_break: str = "stop",
-) -> tuple[SMDPValueGrid, SolveReport]:
+) -> tuple[ValueGrid, SolveReport]:
     """Iterate the minimum-cost operator from zero up to its least fixed point.
 
-    Iterates are pointwise nondecreasing. The loop stops when the sup-norm
-    successive difference drops to ``tol`` (or the budget runs out, flagged
-    in the report); the fixed-point residual is re-verified afterwards with
-    one extra sweep. Values do not depend on ``tie_break``.
+    Iterates are pointwise nondecreasing; the loop and its report are those
+    of ``_fixed_point``. The rest-state column stays zero.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter is None:
-        max_iter = default_max_iter(sm.base, tol)
-    kg = discretize_kernel(sm.base.kernel, grid)
-    values = np.zeros((grid.steps + 1, sm.n_states))
-    diffs: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        nxt = _t_sweep(sm, kg, values, tie_break)
-        diff = float(np.max(np.abs(nxt - values)))
-        diffs.append(diff)
-        values = nxt
-        if diff <= tol:
-            converged = True
-            break
-    residual = float(np.max(np.abs(_t_sweep(sm, kg, values, tie_break) - values)))
-    report = SolveReport(
-        iterations=len(diffs),
-        final_diff=diffs[-1] if diffs else 0.0,
-        residual=residual,
-        converged=converged,
-        sup_diffs=tuple(diffs),
-    )
-    return SMDPValueGrid(grid=grid, values=values), report
+    return _fixed_point(sm.base, grid, sm.n_states, lambda kg, v: _t_sweep(sm, kg, v), tol, max_iter)
 
 
-def extract_optimal_policy(sm: SMDPModel, u: SMDPValueGrid, eta: float = 1e-6) -> DeterministicMarkovPolicy:
+def extract_optimal_policy(sm: SMDPModel, u: ValueGrid, eta: float = 1e-6) -> DeterministicMarkovPolicy:
     """Stop wherever the solved value already equals the stop payoff.
 
     Equality is tested with tolerance eta * (1 + g(x)); ties prefer
@@ -313,31 +325,8 @@ def evaluate_policy(
     policy: DeterministicMarkovPolicy,
     tol: float = 1e-9,
     max_iter: int | None = None,
-) -> tuple[SMDPValueGrid, SolveReport]:
+) -> tuple[ValueGrid, SolveReport]:
     """Expected cost of following a fixed decision table, on the policy's grid."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter is None:
-        max_iter = default_max_iter(sm.base, tol)
-    grid = policy.grid
-    kg = discretize_kernel(sm.base.kernel, grid)
-    values = np.zeros((grid.steps + 1, sm.n_states))
-    diffs: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        nxt = _policy_sweep(sm, kg, policy.table, values)
-        diff = float(np.max(np.abs(nxt - values)))
-        diffs.append(diff)
-        values = nxt
-        if diff <= tol:
-            converged = True
-            break
-    residual = float(np.max(np.abs(_policy_sweep(sm, kg, policy.table, values) - values)))
-    report = SolveReport(
-        iterations=len(diffs),
-        final_diff=diffs[-1] if diffs else 0.0,
-        residual=residual,
-        converged=converged,
-        sup_diffs=tuple(diffs),
+    return _fixed_point(
+        sm.base, policy.grid, sm.n_states, lambda kg, v: _policy_sweep(sm, kg, policy.table, v), tol, max_iter
     )
-    return SMDPValueGrid(grid=grid, values=values), report

@@ -15,14 +15,21 @@ the region in which stopping is optimal.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import KernelGrid, TimeGrid, convolve_values, discretize_kernel
-from .model import SMPModel, StateSpace, contraction_factor
-from .smdp import SolveReport, build_smdp, default_max_iter, solve_smdp, stop_tolerance
+from .grid import KernelGrid, TimeGrid, ValueGrid, discretize_kernel
+from .model import SMPModel, StateSpace
+from .smdp import (
+    SolveReport,
+    _continuation,
+    _fixed_point,
+    _geometric_budget,
+    build_smdp,
+    solve_smdp,
+    stop_tolerance,
+)
 
 __all__ = [
     "ContractionError",
@@ -36,6 +43,7 @@ __all__ = [
     "iteration_budget",
     "eps_region",
     "exactness_gap",
+    "route_discrepancy",
     "cross_check",
     "write_value_csv",
     "read_value_csv",
@@ -46,17 +54,6 @@ __all__ = [
 
 class ContractionError(RuntimeError):
     """Jump mass within the horizon reaches 1, so no geometric budget exists."""
-
-
-@dataclass
-class ValueGrid:
-    """Value function table on grid nodes for every base state."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def value(self, s: float, x: int) -> float:
-        return float(self.values[self.grid.index_of(s), x])
 
 
 @dataclass
@@ -97,8 +94,7 @@ class EpsRegionResult:
 
 
 def _g_sweep(model: SMPModel, kg: KernelGrid, values: np.ndarray) -> np.ndarray:
-    cont = model.costs.rate[None, :] * kg.survival.T + convolve_values(kg, values)
-    return np.minimum(cont, model.costs.terminal[None, :])
+    return np.minimum(_continuation(model, kg, values), model.costs.terminal[None, :])
 
 
 def apply_G(v: ValueGrid, model: SMPModel, kg: KernelGrid | None = None) -> ValueGrid:
@@ -117,35 +113,11 @@ def solve_value(
     """Iterate the stopping recursion from zero up to the value function.
 
     Iterates are pointwise nondecreasing and bounded by min(g(x), s * max c).
-    The loop stops when the sup-norm successive difference drops to ``tol``;
-    budget exhaustion is flagged in the report and the last iterate is still
-    returned. The fixed-point residual is re-verified with one extra sweep.
+    The loop and its report are those of ``smdp._fixed_point``: it stops at
+    a sup-norm step of ``tol`` or flags budget exhaustion, and re-verifies
+    the fixed-point residual with one extra sweep.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter is None:
-        max_iter = default_max_iter(model, tol)
-    kg = discretize_kernel(model.kernel, grid)
-    values = np.zeros((grid.steps + 1, len(model.states)))
-    diffs: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        nxt = _g_sweep(model, kg, values)
-        diff = float(np.max(np.abs(nxt - values)))
-        diffs.append(diff)
-        values = nxt
-        if diff <= tol:
-            converged = True
-            break
-    residual = float(np.max(np.abs(_g_sweep(model, kg, values) - values)))
-    report = SolveReport(
-        iterations=len(diffs),
-        final_diff=diffs[-1] if diffs else 0.0,
-        residual=residual,
-        converged=converged,
-        sup_diffs=tuple(diffs),
-    )
-    return ValueGrid(grid=grid, values=values), report
+    return _fixed_point(model, grid, len(model.states), lambda kg, v: _g_sweep(model, kg, v), tol, max_iter)
 
 
 def stopping_region(v: ValueGrid, model: SMPModel, eta: float = 1e-6) -> StoppingRegion:
@@ -177,17 +149,9 @@ def iteration_budget(model: SMPModel, eps: float) -> EpsBudget:
     a tail of at most eps. Kernels with beta >= 1 have no such budget and
     raise ContractionError. The count is floored at one sweep.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    beta = contraction_factor(model)
-    if beta >= 1.0:
+    beta, m_bound, n_iter = _geometric_budget(model, eps)
+    if n_iter is None:
         raise ContractionError(f"sup_x Q(T, E|x) = {beta:.12g}; the budget needs a value below 1")
-    m_bound = model.horizon * float(model.costs.rate.max()) + float(model.costs.terminal.max())
-    if beta == 0.0:
-        n_iter = 1
-    else:
-        raw = (math.log(eps * (1.0 - beta)) - math.log(m_bound + 1.0)) / math.log(beta)
-        n_iter = max(1, math.ceil(raw))
     return EpsBudget(eps=eps, beta=beta, bound=m_bound, n_iter=n_iter)
 
 
@@ -224,15 +188,20 @@ def exactness_gap(model: SMPModel, region: StoppingRegion, refined: ValueGrid) -
     return float(margins.min())
 
 
+def route_discrepancy(v: ValueGrid, u: ValueGrid) -> float:
+    """Max discrepancy on base states between the recursion's table v and the two-action table u."""
+    return float(np.max(np.abs(u.values[:, : v.values.shape[1]] - v.values)))
+
+
 def cross_check(model: SMPModel, grid: TimeGrid, tol: float = 1e-9) -> float:
-    """Max discrepancy on base states between the two-action solve and the recursion.
+    """Solve both routes and return their ``route_discrepancy``.
 
     The two computations are algebraically identical node for node, so any
     visible discrepancy indicates an implementation fault.
     """
     u, _ = solve_smdp(build_smdp(model), grid, tol=tol)
     v, _ = solve_value(model, grid, tol=tol)
-    return float(np.max(np.abs(u.values[:, : len(model.states)] - v.values)))
+    return route_discrepancy(v, u)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import settings
 
 import smpstop.smdp
-import smpstop.solver
 from smpstop import (
     CostModel,
     DeterministicMarkovPolicy,
@@ -42,9 +41,8 @@ def reference_convolve_values(kg, v: np.ndarray) -> np.ndarray:
 
 @contextlib.contextmanager
 def reference_recursion():
-    """Run the solver and decision-process sweeps on ``reference_convolve_values``."""
+    """Run every sweep on ``reference_convolve_values``: they share ``smdp._continuation``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(smpstop.solver, "convolve_values", reference_convolve_values)
         patch.setattr(smpstop.smdp, "convolve_values", reference_convolve_values)
         yield
 

@@ -16,7 +16,6 @@ from smpstop import (
     Uniform,
     build_smdp,
     cross_check,
-    discretize_kernel,
     estimate_value,
     eps_region,
     evaluate_policy,
@@ -28,6 +27,7 @@ from smpstop import (
     stopping_region,
 )
 from smpstop.simulate import AlwaysStop, NeverStop, PolicyRule, RegionRule
+from smpstop.smdp import _fixed_point
 from smpstop.solver import _g_sweep
 from conftest import (
     make_random_model,
@@ -52,21 +52,20 @@ def m2():
     return two_state_model()
 
 
-def _iterate(model, kg, values, cap):
-    """Sweeps of ``_g_sweep`` from ``values`` to a 1e-9 step, with per-sweep diagnostics."""
-    monotone = True
-    bounded = True
-    diff = np.inf
-    for _ in range(2000):
+def _iterate(model, grid, cap):
+    """The fixed-point loop to a 1e-9 step on a ``_g_sweep`` that records per-sweep diagnostics."""
+    seen = SimpleNamespace(monotone=True, bounded=True)
+
+    def sweep(kg, values):
         nxt = _g_sweep(model, kg, values)
-        monotone = monotone and bool(np.all(nxt >= values))
-        bounded = bounded and bool(np.all(nxt >= 0.0)) and bool(np.all(nxt <= cap))
-        diff = float(np.max(np.abs(nxt - values)))
-        values = nxt
-        if diff <= 1e-9:
-            break
-    residual = float(np.max(np.abs(_g_sweep(model, kg, values) - values)))
-    return SimpleNamespace(monotone=monotone, bounded=bounded, converged=diff <= 1e-9, residual=residual)
+        seen.monotone = seen.monotone and bool(np.all(nxt >= values))
+        seen.bounded = seen.bounded and bool(np.all(nxt >= 0.0)) and bool(np.all(nxt <= cap))
+        return nxt
+
+    _, report = _fixed_point(model, grid, len(model.states), sweep, 1e-9, 2000)
+    return SimpleNamespace(
+        monotone=seen.monotone, bounded=seen.bounded, converged=report.converged, residual=report.residual
+    )
 
 
 @pytest.fixture(scope="module")
@@ -82,15 +81,13 @@ def random_model_suite():
     for _ in range(25):
         model = make_random_model(rng)
         grid = TimeGrid(model.horizon, 128)
-        kg = discretize_kernel(model.kernel, grid)
-        values = np.zeros((grid.steps + 1, len(model.states)))
         cap = np.minimum(
-            np.broadcast_to(model.costs.terminal, values.shape),
+            np.broadcast_to(model.costs.terminal, (grid.steps + 1, len(model.states))),
             grid.nodes[:, None] * float(model.costs.rate.max()),
         )
         with reference_recursion():
-            reference = _iterate(model, kg, values, cap)
-        production = _iterate(model, kg, values, cap)
+            reference = _iterate(model, grid, cap)
+        production = _iterate(model, grid, cap)
         runs.append(SimpleNamespace(model=model, grid=grid, reference=reference, production=production))
     return runs
 

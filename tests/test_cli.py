@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import smpstop.cli as cli
+import smpstop.smdp
+import smpstop.solver
 from smpstop import (
     PointMass,
     TimeGrid,
@@ -141,6 +143,20 @@ def test_solve_round_trip_12_digits(m2_file, tmp_path):
     v, _ = solve_value(model, TimeGrid(1.0, 128), tol=1e-9)
     np.testing.assert_allclose(values, v.values, rtol=1e-11, atol=1e-300)
     assert labels == model.states.labels
+
+
+def test_solve_runs_two_fixed_point_solves(m2_file, tmp_path, monkeypatch):
+    reports = []
+
+    def counting(*args, **kwargs):
+        reports.append(SolveReport(*args, **kwargs))
+        return reports[-1]
+
+    for module in (smpstop.solver, smpstop.smdp):
+        monkeypatch.setattr(module, "SolveReport", counting)
+    assert run("solve", "--model", str(m2_file), "--grid", "64", "--out", str(tmp_path)) == 0
+    assert len(reports) == 2
+    assert json.loads((tmp_path / "solve_report.json").read_text())["cross_check_discrepancy"] == 0.0
 
 
 def test_solve_budget_exhausted_exit_code(m1_file, tmp_path, monkeypatch, capsys):
@@ -314,8 +330,57 @@ def test_simulate_reports_match_recorded_hashes(m2_file, tmp_path, rule, extra, 
     assert hashlib.sha256((tmp_path / "mc_report.json").read_bytes()).hexdigest() == digest
 
 
+# sha256 of the solve and eps artifacts for these flags. Identical flags
+# must give identical bytes; a solver change that moves one must say why.
+GOLDEN_ARTIFACTS = [
+    ("solve", "m2", ("--grid", "128"), {
+        "value.csv": "1e4ec892e5c7b84b559333ad5548f1c5f1db80dc269ade1a14d64e53374fe98e",
+        "region.csv": "d83f9501e8f4a810ee4f651fd2d4c874ed59765149065c3448066159cc1054f1",
+        "solve_report.json": "cbdb03450d58146b7de0c21061628ddc849754ba83a870af56dae0f32fb1e5d3",
+    }),
+    ("eps", "m1", ("--grid", "256", "--eps", "0.01"), {
+        "eps_region.csv": "9252658a559e86c013f2b3810f6e67d1fa3985b8d1453e044c01f9be0a9dd2b4",
+        "eps_report.json": "5d966f23cd31bd18fd889692b920f351b35b2439b12eac2ffa3badb66f374230",
+    }),
+]
+
+
+@pytest.mark.parametrize("command, model, extra, digests", GOLDEN_ARTIFACTS, ids=[g[0] for g in GOLDEN_ARTIFACTS])
+def test_solve_and_eps_artifacts_match_recorded_hashes(m1_file, m2_file, tmp_path, command, model, extra, digests):
+    path = {"m1": m1_file, "m2": m2_file}[model]
+    assert run(command, "--model", str(path), "--out", str(tmp_path), *extra) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 # ---------------------------------------------------------------------------
 # config validation
+
+
+# 5e-324 * (1 - beta) rounds to zero at beta = 0.8647, so log(eps (1 - beta)) has no value
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--tol"),
+        ("simulate", "--paths", "10", "--tol"),
+        ("eps", "--eps"),
+        ("simulate", "--paths", "10", "--rule", "eps", "--eps"),
+    ],
+    ids=["solve", "simulate-optimal", "eps", "simulate-eps"],
+)
+def test_flag_whose_budget_underflows_exits_2(m2_file, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(*argv, "5e-324", "--model", str(m2_file), "--grid", "64", "--out", str(out)) == 2
+    expected = f"no iteration budget for {argv[-1]}: 5e-324 * (1 - beta) underflows to zero"
+    assert capsys.readouterr().out.startswith(expected)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("check",), ("solve",), ("eps", "--eps", "0.5"), ("simulate",)], ids=lambda a: a[0])
+def test_parse_defaults_are_run_config_defaults(argv):
+    cfg = cli.config_from_args(cli.build_parser().parse_args([*argv, "--model", "m.json"]))
+    eps = 0.5 if argv[0] == "eps" else None
+    assert cfg == cli.RunConfig(model_path="m.json", command=argv[0], eps=eps)
 
 
 def test_config_rejects_bad_numbers(m1_file, capsys):

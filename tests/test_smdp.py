@@ -9,8 +9,8 @@ from smpstop import (
     CONTINUE,
     STOP,
     DeterministicMarkovPolicy,
-    SMDPValueGrid,
     TimeGrid,
+    ValueGrid,
     apply_T,
     apply_T_action,
     build_smdp,
@@ -25,8 +25,8 @@ from conftest import make_random_model, make_random_policy, reference_recursion,
 EXP1 = 1.0 - math.exp(-1.0)
 
 
-def zeros_grid(sm, grid) -> SMDPValueGrid:
-    return SMDPValueGrid(grid=grid, values=np.zeros((grid.steps + 1, sm.n_states)))
+def zeros_grid(sm, grid) -> ValueGrid:
+    return ValueGrid(grid=grid, values=np.zeros((grid.steps + 1, sm.n_states)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_apply_T_action_uses_continuation_values(m1):
     grid = TimeGrid(1.0, 128)
     values = np.full((grid.steps + 1, 2), 0.25)
     values[:, 1] = 0.0
-    v = SMDPValueGrid(grid=grid, values=values)
+    v = ValueGrid(grid=grid, values=values)
     kg = discretize_kernel(m1.kernel, grid)
     got = apply_T_action(sm, v, 0, CONTINUE, 1.0, kg=kg)
     expected = float(kg.survival[0, -1] + 0.25 * kg.mass[0, -1])
@@ -179,20 +179,6 @@ def test_solve_bounds_random_models():
         base = u.values[:, : sm.n_base]
         assert np.all(base >= 0.0)
         assert np.all(base <= cap)
-
-
-def test_tie_break_does_not_change_values(m1, m2):
-    for model in (m1, m2):
-        grid = TimeGrid(model.horizon, 128)
-        sm = build_smdp(model)
-        u_stop, _ = solve_smdp(sm, grid, tie_break="stop")
-        u_cont, _ = solve_smdp(sm, grid, tie_break="continue")
-        assert np.array_equal(u_stop.values, u_cont.values)
-
-
-def test_unknown_tie_break_rejected(m1):
-    with pytest.raises(ValueError, match="tie_break"):
-        solve_smdp(build_smdp(m1), TimeGrid(1.0, 8), tie_break="coin")
 
 
 # ---------------------------------------------------------------------------

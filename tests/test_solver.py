@@ -7,25 +7,31 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smpstop import (
+    STOP,
     ContractionError,
+    DeterministicMarkovPolicy,
     PointMass,
     TimeGrid,
     Uniform,
     ValueGrid,
     apply_G,
+    build_smdp,
     contraction_factor,
     cross_check,
     eps_region,
+    evaluate_policy,
     exactness_gap,
     iteration_budget,
     read_region_csv,
     read_value_csv,
+    solve_smdp,
     solve_value,
     stopping_region,
     write_region_csv,
     write_value_csv,
 )
 from smpstop.grid import discretize_kernel
+from smpstop.smdp import _fixed_point
 from smpstop.solver import _g_sweep
 from conftest import make_random_model, reference_recursion, single_state_model
 
@@ -117,12 +123,32 @@ def test_fixed_point_residual(m1, m2):
         assert report.residual <= 1e-9
 
 
-def test_budget_exhaustion_flagged(m2):
+def _solve_smdp(model, grid, **kw):
+    return solve_smdp(build_smdp(model), grid, **kw)
+
+
+def _evaluate_never_stop(model, grid, **kw):
+    table = np.zeros((grid.steps + 1, len(model.states) + 1), dtype=np.int8)
+    table[:, -1] = STOP  # the rest state's only action
+    return evaluate_policy(build_smdp(model), DeterministicMarkovPolicy(grid, table), **kw)
+
+
+@pytest.mark.parametrize(
+    "solve, width",
+    [(solve_value, 2), (_solve_smdp, 3), (_evaluate_never_stop, 3)],
+    ids=["solve_value", "solve_smdp", "evaluate_policy"],
+)
+def test_budget_exhaustion_flagged(m2, solve, width):
     grid = TimeGrid(1.0, 128)
-    v, report = solve_value(m2, grid, tol=1e-12, max_iter=2)
+    v, report = solve(m2, grid, tol=1e-12, max_iter=2)
     assert not report.converged
     assert report.iterations == 2
-    assert v.values.shape == (129, 2)
+    assert len(report.sup_diffs) == 2 and report.final_diff == report.sup_diffs[-1] > 1e-12
+    assert report.residual > 0.0
+    assert v.values.shape == (129, width) and v.grid is grid
+    v0, report0 = solve(m2, grid, max_iter=0)
+    assert (report0.iterations, report0.final_diff, report0.converged, report0.sup_diffs) == (0, 0.0, False, ())
+    assert np.all(v0.values == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +225,35 @@ def test_budget_rejects_non_contractive():
 def test_budget_zero_beta():
     model = single_state_model(dist=PointMass(2.0))
     assert iteration_budget(model, 0.01).n_iter == 1
+
+
+def test_budget_rejects_eps_that_underflows():
+    # 5e-324 * (1 - 0.5) rounds to zero, so log(eps (1 - beta)) has no value
+    with pytest.raises(ValueError, match="underflows to zero"):
+        iteration_budget(synthetic_half_contraction(), 5e-324)
+    assert iteration_budget(synthetic_half_contraction(), 1e-320).n_iter > 1000
+
+
+def default_budget(model, tol) -> int:
+    """Sweeps that the fixed-point engine runs by default on a sweep that never settles."""
+    _, report = _fixed_point(model, TimeGrid(1.0, 2), 1, lambda kg, v: v + 1.0, tol, None)
+    assert not report.converged
+    return report.iterations
+
+
+def test_default_budget_is_ten_geometric_budgets_floored_at_1000():
+    model = synthetic_half_contraction()
+    assert default_budget(model, 0.01) == 1000  # 10 N(0.01) = 110
+    n_iter = iteration_budget(model, 1e-300).n_iter
+    assert n_iter > 100
+    assert default_budget(model, 1e-300) == 10 * n_iter
+
+
+@pytest.mark.parametrize("d, beta", [(2.0, 0.0), (0.5, 1.0)])
+def test_default_budget_without_geometric_bound(d, beta):
+    model = single_state_model(dist=PointMass(d))
+    assert contraction_factor(model) == beta
+    assert default_budget(model, 1e-300) == 1000
 
 
 @settings(max_examples=40)
