@@ -1,9 +1,10 @@
 """Command line front end: validate models, solve stopping problems, simulate rules.
 
 Exit codes: 0 success, 2 schema or validation failure (also a kernel whose
-simulated jumps pile up inside the horizon, and a --tol or --eps too small
-for any iteration budget), 3 iteration budget exhausted, 4 contraction
-hypothesis violated, 5 unknown simulation rule.
+simulated jumps pile up inside the horizon, and an --eps too small for any
+iteration budget), 3 fixed point not reached to --tol within the grid's
+steps + 2 sweeps, 4 contraction hypothesis violated, 5 unknown simulation
+rule.
 """
 
 from __future__ import annotations
@@ -125,12 +126,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     except ValueError as err:
         print(f"cannot build the grid: {err}")
         return EXIT_SCHEMA
-    try:
-        v, report = solve_value(model, grid, tol=cfg.tol)
-        u, _ = solve_smdp(build_smdp(model), grid, tol=cfg.tol)
-    except ValueError as err:
-        print(f"no iteration budget for --tol: {err}")
-        return EXIT_SCHEMA
+    v, report = solve_value(model, grid, tol=cfg.tol)
+    u, _ = solve_smdp(build_smdp(model), grid, tol=cfg.tol)
     discrepancy = route_discrepancy(v, u)
     region = stopping_region(v, model, eta=cfg.eta)
     out = Path(cfg.out_dir)
@@ -232,11 +229,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             print(f"cannot build the grid: {err}")
             return EXIT_SCHEMA
     if cfg.rule == "optimal":
-        try:
-            v, _ = solve_value(model, grid, tol=cfg.tol)
-        except ValueError as err:
-            print(f"no iteration budget for --tol: {err}")
-            return EXIT_SCHEMA
+        v, _ = solve_value(model, grid, tol=cfg.tol)
         rule = RegionRule(stopping_region(v, model, eta=cfg.eta))
         dp_value = float(v.values[-1, model.states.index(x0)])
     elif cfg.rule == "eps":

@@ -45,10 +45,12 @@ class TimeGrid:
             return k
         raise ValueError(f"time {s!r} is not a node of the grid")
 
-    def floor_index(self, s: float) -> int:
-        """Largest k with node_k <= s, clipped into [0, steps]."""
-        k = int(np.searchsorted(self._nodes, s, side="right")) - 1
-        return min(max(k, 0), self.steps)
+    def floor_index(self, s: float | np.ndarray) -> int | np.ndarray:
+        """Largest k with node_k <= s, clipped into [0, steps]; elementwise for an array s."""
+        k = np.searchsorted(self._nodes, s, side="right") - 1
+        if isinstance(k, np.ndarray):
+            return np.clip(k, 0, self.steps)
+        return min(max(int(k), 0), self.steps)
 
 
 @dataclass

@@ -83,11 +83,6 @@ class StopOutcome:
     stopped_before_horizon: bool
 
 
-def _floor_indices(grid: TimeGrid, s: np.ndarray) -> np.ndarray:
-    """``grid.floor_index`` of every time in s."""
-    return np.clip(np.searchsorted(grid.nodes, s, side="right") - 1, 0, grid.steps)
-
-
 class StoppingRule:
     """Decides at each jump whether to stop, given remaining horizon and state."""
 
@@ -109,7 +104,7 @@ class RegionRule(StoppingRule):
         return self.region.contains(remaining, state)
 
     def stops_many(self, remaining, states):
-        return (remaining > 0.0) & self.region.member[_floor_indices(self.region.grid, remaining), states]
+        return (remaining > 0.0) & self.region.member[self.region.grid.floor_index(remaining), states]
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ class PolicyRule(StoppingRule):
 
     def stops_many(self, remaining, states):
         table = self.policy.table
-        return (remaining > 0.0) & (table[_floor_indices(self.policy.grid, remaining), states] == STOP)
+        return (remaining > 0.0) & (table[self.policy.grid.floor_index(remaining), states] == STOP)
 
 
 class AlwaysStop(StoppingRule):
@@ -392,11 +387,6 @@ def _draw_sojourns(laws: list, edge: np.ndarray, streams: _Streams) -> np.ndarra
     return t
 
 
-def _settle(model: SMPModel, rule: StoppingRule, traj: Trajectory) -> tuple[float, int, bool]:
-    outcome = execute_rule(rule, traj, model.horizon)
-    return trajectory_cost(traj, outcome, model), outcome.index, outcome.stopped_before_horizon
-
-
 def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: int, count: int, out) -> None:
     """Cost, stop index and stop flag of paths first, ..., first + count - 1, written into ``out``.
 
@@ -408,8 +398,8 @@ def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: i
     cut changes only the sojourn that crosses it: if fl(S + t) < T, then
     S + t < T, and fl(T - S) >= t as rounding is monotone. So one sum
     serves both a stop by the rule and a stop at the horizon. A
-    ``HistoryRule`` runs ``execute_rule`` on the sampled paths once they
-    are complete.
+    ``HistoryRule`` reads whole histories, so its paths all take the
+    one-path route.
     """
     costs, index, before = out
     n = len(model.states)
@@ -417,14 +407,13 @@ def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: i
     cumulative = np.cumsum(model.kernel.transition, axis=1)
     laws = [law for row in model.kernel.sojourn for law in row]
     rate, terminal = model.costs.rate, model.costs.terminal
-    history = [] if isinstance(rule, HistoryRule) else None
+    lockstep = 0 if isinstance(rule, HistoryRule) else min(_LOCKSTEP_JUMPS, MAX_JUMPS)
     streams = _Streams(seed, first, count)
     path = np.arange(first, first + count)
     x = np.full(count, x0)
     elapsed = np.zeros(count)
     running = np.zeros(count)
-    # paths the rule has not stopped yet; a HistoryRule decides after sampling
-    pending = np.full(count, history is None)
+    pending = np.ones(count, dtype=bool)  # paths the rule has not stopped yet
     jumps = 0
     while True:
         done = ~(elapsed < horizon)
@@ -436,15 +425,14 @@ def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: i
             live = ~done
             path, x, elapsed, running, pending = (a[live] for a in (path, x, elapsed, running, pending))
             streams.keep(live)
-        if path.size == 0 or jumps == min(_LOCKSTEP_JUMPS, MAX_JUMPS):
+        if path.size == 0 or jumps == lockstep:
             break
-        if history is None:
-            rows = np.flatnonzero(pending)
-            fired = rows[rule.stops_many(horizon - elapsed[rows], x[rows])]
-            costs[path[fired]] = running[fired] + terminal[x[fired]]
-            index[path[fired]] = jumps
-            before[path[fired]] = True
-            pending[fired] = False
+        rows = np.flatnonzero(pending)
+        fired = rows[rule.stops_many(horizon - elapsed[rows], x[rows])]
+        costs[path[fired]] = running[fired] + terminal[x[fired]]
+        index[path[fired]] = jumps
+        before[path[fired]] = True
+        pending[fired] = False
         every = np.arange(path.size)
         y = np.minimum((cumulative[x] <= streams.draw(every)[:, None]).sum(axis=1), n - 1)
         t = _draw_sojourns(laws, x * n + y, streams)
@@ -452,30 +440,11 @@ def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: i
         elapsed = elapsed + t
         x = y
         jumps += 1
-        if history is not None:
-            history.append((path, y, t, elapsed))
     for i in path.tolist():
         traj = sample_trajectory(model, x0, path_stream(seed, i))
-        costs[i], index[i], before[i] = _settle(model, rule, traj)
-    if history is not None:
-        _settle_history(model, rule, x0, range(first, first + count), history, set(path.tolist()), out)
-
-
-def _settle_history(model, rule, x0, paths, history, skip, out) -> None:
-    """Settle every path not in ``skip`` on its trajectory rebuilt from the lock-step record."""
-    states = {i: [x0] for i in paths}
-    sojourns = {i: [] for i in paths}
-    times = {i: [0.0] for i in paths}
-    for path, y, t, elapsed in history:
-        for i, yi, ti, si in zip(path.tolist(), y.tolist(), t.tolist(), elapsed.tolist()):
-            states[i].append(yi)
-            sojourns[i].append(ti)
-            times[i].append(si)
-    costs, index, before = out
-    for i in paths:
-        if i not in skip:
-            traj = Trajectory(states=tuple(states[i]), sojourns=tuple(sojourns[i]), jump_times=tuple(times[i]))
-            costs[i], index[i], before[i] = _settle(model, rule, traj)
+        outcome = execute_rule(rule, traj, horizon)
+        costs[i] = trajectory_cost(traj, outcome, model)
+        index[i], before[i] = outcome.index, outcome.stopped_before_horizon
 
 
 def policy_from_rule(rule: StoppingRule, model: SMPModel, grid: TimeGrid) -> DeterministicMarkovPolicy:
@@ -487,14 +456,8 @@ def policy_from_rule(rule: StoppingRule, model: SMPModel, grid: TimeGrid) -> Det
     if isinstance(rule, HistoryRule):
         raise ValueError("history-dependent rules cannot be reduced to a decision table")
     n = len(model.states)
-    table = np.zeros((grid.steps + 1, n + 1), dtype=np.int8)
-    table[:, n] = STOP
-    if isinstance(rule, RegionRule) and rule.region.grid == grid:
-        table[:, :n] = np.where(rule.region.member, STOP, CONTINUE)
-    else:
-        nodes = grid.nodes
-        for k in range(1, grid.steps + 1):
-            for x in range(n):
-                table[k, x] = STOP if rule.stops(float(nodes[k]), x) else CONTINUE
+    table = np.full((grid.steps + 1, n + 1), STOP, dtype=np.int8)
+    stops = rule.stops_many(np.repeat(grid.nodes[1:], n), np.tile(np.arange(n), grid.steps))
+    table[1:, :n] = np.where(stops.reshape(grid.steps, n), STOP, CONTINUE)
     table[0, :n] = CONTINUE
     return DeterministicMarkovPolicy(grid=grid, table=table)

@@ -8,21 +8,19 @@ minimal expected cost over all stop/continue strategies, the argmin yields
 an optimal decision table, and a fixed table can be evaluated the same way.
 
 This module also holds the one fixed-point engine that every solve runs
-(``_fixed_point``), the one continuation term that every sweep uses
-(``_continuation``), and the one geometric budget formula
-(``_geometric_budget``); the stopping recursion in ``solver`` builds on them.
+(``_fixed_point``) and the one continuation term that every sweep uses
+(``_continuation``); the stopping recursion in ``solver`` builds on them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .grid import KernelGrid, TimeGrid, ValueGrid, convolve_values, discretize_kernel
-from .model import SMPModel, contraction_factor, kernel_mass
+from .model import SMPModel, kernel_mass
 
 __all__ = [
     "CONTINUE",
@@ -163,53 +161,30 @@ def stop_tolerance(terminal: np.ndarray, eta: float) -> np.ndarray:
     return eta * (1.0 + terminal)
 
 
-def _geometric_budget(model: SMPModel, eps: float) -> tuple[float, float, int | None]:
-    """(beta, M, N) of ``solver.iteration_budget``, also behind the default ``max_iter``.
-
-    N is None when beta >= 1. An eps so small that eps (1 - beta)
-    underflows to zero has no count and raises ValueError.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    beta = contraction_factor(model)
-    m_bound = model.horizon * float(model.costs.rate.max()) + float(model.costs.terminal.max())
-    if beta >= 1.0:
-        return beta, m_bound, None
-    if beta == 0.0:
-        return beta, m_bound, 1
-    scaled = eps * (1.0 - beta)
-    if scaled == 0.0:
-        raise ValueError(f"{eps!r} * (1 - beta) underflows to zero; no iteration count reaches it")
-    raw = (math.log(scaled) - math.log(m_bound + 1.0)) / math.log(beta)
-    return beta, m_bound, max(1, math.ceil(raw))
-
-
 def _fixed_point(
     model: SMPModel,
     grid: TimeGrid,
     width: int,
     sweep: Callable[[KernelGrid, np.ndarray], np.ndarray],
     tol: float,
-    max_iter: int | None,
 ) -> tuple[ValueGrid, SolveReport]:
     """Iterate ``sweep`` from a zero table of ``width`` columns up to its fixed point.
 
-    The loop stops when the sup-norm successive difference drops to
-    ``tol``; budget exhaustion is flagged in the report and the last
+    Lag 0 carries no jump mass, so a sweep's value at node k reads only
+    nodes below k: from zero, sweep m fixes node m - 1, the table is the
+    fixed point after ``grid.steps + 1`` sweeps, and one more changes
+    nothing. So the loop runs at most ``grid.steps + 2`` sweeps. It stops
+    early once the sup-norm successive difference drops to ``tol``; a
+    ``tol`` below round-off is flagged as not converged, and the last
     iterate is still returned. The fixed-point residual is re-verified with
-    one extra sweep. The default budget is max(1000, 10 N(tol)) sweeps,
-    ~10x the geometric bound, when beta < 1 and 1000 otherwise: the floor
-    guards kernels with jump mass near 1 within the horizon.
+    one extra sweep.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter is None:
-        n_iter = _geometric_budget(model, tol)[2]
-        max_iter = 1000 if n_iter is None else max(1000, 10 * n_iter)
     kg = discretize_kernel(model.kernel, grid)
     values = np.zeros((grid.steps + 1, width))
     diffs: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(grid.steps + 2):
         nxt = sweep(kg, values)
         diffs.append(float(np.max(np.abs(nxt - values))))
         values = nxt
@@ -218,9 +193,9 @@ def _fixed_point(
     residual = float(np.max(np.abs(sweep(kg, values) - values)))
     report = SolveReport(
         iterations=len(diffs),
-        final_diff=diffs[-1] if diffs else 0.0,
+        final_diff=diffs[-1],
         residual=residual,
-        converged=bool(diffs) and diffs[-1] <= tol,
+        converged=diffs[-1] <= tol,
         sup_diffs=tuple(diffs),
     )
     return ValueGrid(grid=grid, values=values), report
@@ -289,18 +264,13 @@ def apply_T(sm: SMDPModel, v: ValueGrid, kg: KernelGrid | None = None) -> ValueG
     return ValueGrid(grid=v.grid, values=_t_sweep(sm, kg, v.values))
 
 
-def solve_smdp(
-    sm: SMDPModel,
-    grid: TimeGrid,
-    tol: float = 1e-9,
-    max_iter: int | None = None,
-) -> tuple[ValueGrid, SolveReport]:
+def solve_smdp(sm: SMDPModel, grid: TimeGrid, tol: float = 1e-9) -> tuple[ValueGrid, SolveReport]:
     """Iterate the minimum-cost operator from zero up to its least fixed point.
 
     Iterates are pointwise nondecreasing; the loop and its report are those
     of ``_fixed_point``. The rest-state column stays zero.
     """
-    return _fixed_point(sm.base, grid, sm.n_states, lambda kg, v: _t_sweep(sm, kg, v), tol, max_iter)
+    return _fixed_point(sm.base, grid, sm.n_states, lambda kg, v: _t_sweep(sm, kg, v), tol)
 
 
 def extract_optimal_policy(sm: SMDPModel, u: ValueGrid, eta: float = 1e-6) -> DeterministicMarkovPolicy:
@@ -321,12 +291,7 @@ def extract_optimal_policy(sm: SMDPModel, u: ValueGrid, eta: float = 1e-6) -> De
 
 
 def evaluate_policy(
-    sm: SMDPModel,
-    policy: DeterministicMarkovPolicy,
-    tol: float = 1e-9,
-    max_iter: int | None = None,
+    sm: SMDPModel, policy: DeterministicMarkovPolicy, tol: float = 1e-9
 ) -> tuple[ValueGrid, SolveReport]:
     """Expected cost of following a fixed decision table, on the policy's grid."""
-    return _fixed_point(
-        sm.base, policy.grid, sm.n_states, lambda kg, v: _policy_sweep(sm, kg, policy.table, v), tol, max_iter
-    )
+    return _fixed_point(sm.base, policy.grid, sm.n_states, lambda kg, v: _policy_sweep(sm, kg, policy.table, v), tol)

@@ -15,17 +15,17 @@ the region in which stopping is optimal.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import KernelGrid, TimeGrid, ValueGrid, discretize_kernel
-from .model import SMPModel, StateSpace
+from .model import SMPModel, StateSpace, contraction_factor
 from .smdp import (
     SolveReport,
     _continuation,
     _fixed_point,
-    _geometric_budget,
     build_smdp,
     solve_smdp,
     stop_tolerance,
@@ -104,20 +104,16 @@ def apply_G(v: ValueGrid, model: SMPModel, kg: KernelGrid | None = None) -> Valu
     return ValueGrid(grid=v.grid, values=_g_sweep(model, kg, v.values))
 
 
-def solve_value(
-    model: SMPModel,
-    grid: TimeGrid,
-    tol: float = 1e-9,
-    max_iter: int | None = None,
-) -> tuple[ValueGrid, SolveReport]:
+def solve_value(model: SMPModel, grid: TimeGrid, tol: float = 1e-9) -> tuple[ValueGrid, SolveReport]:
     """Iterate the stopping recursion from zero up to the value function.
 
     Iterates are pointwise nondecreasing and bounded by min(g(x), s * max c).
     The loop and its report are those of ``smdp._fixed_point``: it stops at
-    a sup-norm step of ``tol`` or flags budget exhaustion, and re-verifies
-    the fixed-point residual with one extra sweep.
+    a sup-norm step of ``tol``, or flags non-convergence after the
+    ``grid.steps + 2`` sweeps that reach the grid's fixed point, and
+    re-verifies the fixed-point residual with one extra sweep.
     """
-    return _fixed_point(model, grid, len(model.states), lambda kg, v: _g_sweep(model, kg, v), tol, max_iter)
+    return _fixed_point(model, grid, len(model.states), lambda kg, v: _g_sweep(model, kg, v), tol)
 
 
 def stopping_region(v: ValueGrid, model: SMPModel, eta: float = 1e-6) -> StoppingRegion:
@@ -147,11 +143,21 @@ def iteration_budget(model: SMPModel, eps: float) -> EpsBudget:
     M = T * max c + max g bounds every iterate, and successive differences
     shrink geometrically at rate beta = sup_x Q(T, E|x); N iterations leave
     a tail of at most eps. Kernels with beta >= 1 have no such budget and
-    raise ContractionError. The count is floored at one sweep.
+    raise ContractionError. The count is floored at one sweep, and an eps
+    so small that eps (1 - beta) underflows to zero raises ValueError.
     """
-    beta, m_bound, n_iter = _geometric_budget(model, eps)
-    if n_iter is None:
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    beta = contraction_factor(model)
+    m_bound = model.horizon * float(model.costs.rate.max()) + float(model.costs.terminal.max())
+    if beta >= 1.0:
         raise ContractionError(f"sup_x Q(T, E|x) = {beta:.12g}; the budget needs a value below 1")
+    n_iter = 1
+    if beta > 0.0:
+        scaled = eps * (1.0 - beta)
+        if scaled == 0.0:
+            raise ValueError(f"{eps!r} * (1 - beta) underflows to zero; no iteration count reaches it")
+        n_iter = max(1, math.ceil((math.log(scaled) - math.log(m_bound + 1.0)) / math.log(beta)))
     return EpsBudget(eps=eps, beta=beta, bound=m_bound, n_iter=n_iter)
 
 

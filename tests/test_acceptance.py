@@ -62,7 +62,7 @@ def _iterate(model, grid, cap):
         seen.bounded = seen.bounded and bool(np.all(nxt >= 0.0)) and bool(np.all(nxt <= cap))
         return nxt
 
-    _, report = _fixed_point(model, grid, len(model.states), sweep, 1e-9, 2000)
+    _, report = _fixed_point(model, grid, len(model.states), sweep, 1e-9)
     return SimpleNamespace(
         monotone=seen.monotone, bounded=seen.bounded, converged=report.converged, residual=report.residual
     )

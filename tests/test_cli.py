@@ -360,13 +360,8 @@ def test_solve_and_eps_artifacts_match_recorded_hashes(m1_file, m2_file, tmp_pat
 # 5e-324 * (1 - beta) rounds to zero at beta = 0.8647, so log(eps (1 - beta)) has no value
 @pytest.mark.parametrize(
     "argv",
-    [
-        ("solve", "--tol"),
-        ("simulate", "--paths", "10", "--tol"),
-        ("eps", "--eps"),
-        ("simulate", "--paths", "10", "--rule", "eps", "--eps"),
-    ],
-    ids=["solve", "simulate-optimal", "eps", "simulate-eps"],
+    [("eps", "--eps"), ("simulate", "--paths", "10", "--rule", "eps", "--eps")],
+    ids=["eps", "simulate-eps"],
 )
 def test_flag_whose_budget_underflows_exits_2(m2_file, tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -374,6 +369,26 @@ def test_flag_whose_budget_underflows_exits_2(m2_file, tmp_path, capsys, argv):
     expected = f"no iteration budget for {argv[-1]}: 5e-324 * (1 - beta) underflows to zero"
     assert capsys.readouterr().out.startswith(expected)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("solve",), 3), (("simulate", "--paths", "10"), 0)],
+    ids=["solve", "simulate-optimal"],
+)
+def test_tol_below_round_off_stops_after_steps_plus_two_sweeps(m2_file, tmp_path, monkeypatch, argv, code):
+    # FFT round-off keeps each step near 1e-17, so no sweep reaches --tol 1e-320; the grid
+    # bounds the solve at 64 + 2 sweeps (plus the residual's), where log(1/tol) gave 50 910
+    sweeps = []
+    g_sweep = smpstop.solver._g_sweep
+    monkeypatch.setattr(smpstop.solver, "_g_sweep", lambda *a: sweeps.append(1) or g_sweep(*a))
+    out = tmp_path / "o"
+    assert run(*argv, "--tol", "1e-320", "--model", str(m2_file), "--grid", "64", "--out", str(out)) == code
+    assert len(sweeps) == 64 + 2 + 1
+    if argv[0] == "solve":
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["iterations"] == 66 and not report["converged"]
+        assert report["fixed_point_residual"] <= 1e-15
 
 
 @pytest.mark.parametrize("argv", [("check",), ("solve",), ("eps", "--eps", "0.5"), ("simulate",)], ids=lambda a: a[0])

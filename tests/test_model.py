@@ -265,6 +265,10 @@ def test_time_grid_index_round_trip(horizon, steps):
     assert grid.floor_index(horizon * 2) == steps
     mid = float(grid.nodes[0] + 0.5 * grid.dt)
     assert grid.floor_index(mid) == 0
+    assert type(grid.floor_index(mid)) is int
+    # an array of times gives the scalar answers elementwise
+    times = np.concatenate([grid.nodes, grid.nodes + 0.5 * grid.dt, [-1.0, horizon * 2]])
+    assert grid.floor_index(times).tolist() == [grid.floor_index(float(s)) for s in times]
 
 
 # ---------------------------------------------------------------------------

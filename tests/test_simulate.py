@@ -27,7 +27,7 @@ from smpstop import (
     stopping_region,
     trajectory_cost,
 )
-from smpstop.simulate import StopOutcome
+from smpstop.simulate import StopOutcome, StoppingRule
 from conftest import make_random_model, make_random_policy, single_state_model, two_state_model
 
 
@@ -258,6 +258,34 @@ def test_policy_from_rule_region_round_trip(m2_solved):
         s = float(grid.nodes[k])
         for x in range(2):
             assert induced.stops(s, x) == rule.stops(s, x)
+
+
+class EarlyHalf(StoppingRule):
+    """Stops in state 0 with more than half the horizon left; has ``stops`` only."""
+
+    def stops(self, remaining, state):
+        return state == 0 and remaining > 0.5
+
+
+def test_policy_from_rule_of_a_rule_with_only_stops(m2_solved):
+    model, _, _, _ = m2_solved
+    grid = TimeGrid(1.0, 8)
+    table = policy_from_rule(EarlyHalf(), model, grid).table
+    assert table[:, 0].tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 1]
+    assert not table[:, 1].any() and table[:, 2].all()
+
+
+def test_policy_from_rule_region_on_another_grid(m2_solved):
+    # a region solved on a fine grid, read at the nodes of a coarse one
+    model, _, _, region = m2_solved
+    rule = RegionRule(region)
+    grid = TimeGrid(1.0, 24)
+    table = policy_from_rule(rule, model, grid).table
+    assert table[0].tolist() == [0, 0, 1] and table[:, 2].all()
+    for k in range(1, grid.steps + 1):
+        for x in range(2):
+            assert table[k, x] == rule.stops(float(grid.nodes[k]), x)
+    assert table[1:, 0].any() and not table[1:, 0].all()
 
 
 def test_policy_from_rule_rejects_history(m1):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import smpstop.smdp
+
 from smpstop import (
     STOP,
     ContractionError,
@@ -31,9 +33,9 @@ from smpstop import (
     write_value_csv,
 )
 from smpstop.grid import discretize_kernel
-from smpstop.smdp import _fixed_point
+from smpstop.smdp import _fixed_point, _t_sweep
 from smpstop.solver import _g_sweep
-from conftest import make_random_model, reference_recursion, single_state_model
+from conftest import make_random_model, reference_convolve_values, reference_recursion, single_state_model
 
 EXP1 = 1.0 - math.exp(-1.0)
 
@@ -133,22 +135,89 @@ def _evaluate_never_stop(model, grid, **kw):
     return evaluate_policy(build_smdp(model), DeterministicMarkovPolicy(grid, table), **kw)
 
 
+def unsettled_convolution(monkeypatch):
+    """Make every sweep add 1e-3 to the convolution on odd calls, so no solve ever settles."""
+    calls = []
+
+    def convolve(kg, v):
+        calls.append(1)
+        return reference_convolve_values(kg, v) + 1e-3 * (len(calls) % 2)
+
+    monkeypatch.setattr(smpstop.smdp, "convolve_values", convolve)
+
+
 @pytest.mark.parametrize(
     "solve, width",
     [(solve_value, 2), (_solve_smdp, 3), (_evaluate_never_stop, 3)],
     ids=["solve_value", "solve_smdp", "evaluate_policy"],
 )
-def test_budget_exhaustion_flagged(m2, solve, width):
-    grid = TimeGrid(1.0, 128)
-    v, report = solve(m2, grid, tol=1e-12, max_iter=2)
+def test_budget_exhaustion_flagged(m2, solve, width, monkeypatch):
+    # state b never stops on m2, so its value follows the alternating convolution
+    unsettled_convolution(monkeypatch)
+    grid = TimeGrid(1.0, 16)
+    v, report = solve(m2, grid, tol=1e-12)
     assert not report.converged
-    assert report.iterations == 2
-    assert len(report.sup_diffs) == 2 and report.final_diff == report.sup_diffs[-1] > 1e-12
+    assert report.iterations == len(report.sup_diffs) == grid.steps + 2
+    assert report.final_diff == report.sup_diffs[-1] > 1e-12
     assert report.residual > 0.0
-    assert v.values.shape == (129, width) and v.grid is grid
-    v0, report0 = solve(m2, grid, max_iter=0)
-    assert (report0.iterations, report0.final_diff, report0.converged, report0.sup_diffs) == (0, 0.0, False, ())
-    assert np.all(v0.values == 0.0)
+    assert v.values.shape == (17, width) and v.grid is grid
+
+
+@pytest.mark.parametrize(
+    "dist, beta",
+    [(PointMass(2.0), 0.0), (Uniform(0.0, 2.0), 0.5), (PointMass(0.5), 1.0)],
+    ids=["beta0", "beta-half", "beta1"],
+)
+@pytest.mark.parametrize("steps", [1, 2, 37])
+def test_budget_is_steps_plus_two(dist, beta, steps):
+    # a sweep that never settles runs the whole budget, whatever the jump mass beta
+    model = single_state_model(dist=dist)
+    assert contraction_factor(model) == beta
+    _, report = _fixed_point(model, TimeGrid(1.0, steps), 1, lambda kg, v: v + 1.0, 1e-300)
+    assert not report.converged
+    assert report.iterations == steps + 2
+
+
+@pytest.mark.parametrize("route", ["solve_value", "solve_smdp"])
+@pytest.mark.parametrize("seed", [None, 3, 17, 29])
+def test_sweep_m_fixes_node_m_minus_1(m2, route, seed):
+    # lag 0 carries no jump mass: from zero, m sweeps settle nodes 0..m-1 for good,
+    # and the steps + 1 sweep table is the fixed point exactly
+    model = m2 if seed is None else make_random_model(np.random.default_rng(seed))
+    grid = TimeGrid(model.horizon, 64)
+    kg = discretize_kernel(model.kernel, grid)
+    if route == "solve_value":
+        width, sweep = len(model.states), lambda v: _g_sweep(model, kg, v)
+    else:
+        sm = build_smdp(model)
+        width, sweep = sm.n_states, lambda v: _t_sweep(sm, kg, v)
+    with reference_recursion():
+        iterates = [np.zeros((grid.steps + 1, width))]
+        for _ in range(grid.steps + 2):
+            iterates.append(sweep(iterates[-1]))
+    final = iterates[grid.steps + 1]
+    for m in range(1, grid.steps + 2):
+        assert iterates[m][:m].tobytes() == final[:m].tobytes(), m
+    assert iterates[grid.steps + 2].tobytes() == final.tobytes()
+    # the production FFT sweep reaches the same table up to round-off
+    v, report = _fixed_point(model, grid, width, lambda kg, v: sweep(v), 1e-300)
+    assert report.iterations <= grid.steps + 2
+    assert report.residual <= 1e-15
+    assert np.max(np.abs(v.values - final)) <= 1e-13
+
+
+def test_unit_jump_mass_converges_after_steps_plus_one_sweeps():
+    # every sojourn lasts one grid step, so beta = 1 and each sweep settles one more node;
+    # sweep 1025 is the first whose step is round-off, beyond a fixed 1000-sweep budget
+    model = single_state_model(c=1.0, g=5.0, dist=PointMass(1 / 1024))
+    grid = TimeGrid(1.0, 1024)
+    v, report = solve_value(model, grid, tol=1e-9)
+    assert report.converged
+    assert report.iterations == grid.steps + 1
+    assert report.sup_diffs[-2] > 1e-4 and report.final_diff <= 1e-14
+    assert report.residual <= 1e-14
+    # each step's trapezoid survival is dt / 2, so the cost of never stopping is T / 2
+    assert v.values[-1, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -232,28 +301,6 @@ def test_budget_rejects_eps_that_underflows():
     with pytest.raises(ValueError, match="underflows to zero"):
         iteration_budget(synthetic_half_contraction(), 5e-324)
     assert iteration_budget(synthetic_half_contraction(), 1e-320).n_iter > 1000
-
-
-def default_budget(model, tol) -> int:
-    """Sweeps that the fixed-point engine runs by default on a sweep that never settles."""
-    _, report = _fixed_point(model, TimeGrid(1.0, 2), 1, lambda kg, v: v + 1.0, tol, None)
-    assert not report.converged
-    return report.iterations
-
-
-def test_default_budget_is_ten_geometric_budgets_floored_at_1000():
-    model = synthetic_half_contraction()
-    assert default_budget(model, 0.01) == 1000  # 10 N(0.01) = 110
-    n_iter = iteration_budget(model, 1e-300).n_iter
-    assert n_iter > 100
-    assert default_budget(model, 1e-300) == 10 * n_iter
-
-
-@pytest.mark.parametrize("d, beta", [(2.0, 0.0), (0.5, 1.0)])
-def test_default_budget_without_geometric_bound(d, beta):
-    model = single_state_model(dist=PointMass(d))
-    assert contraction_factor(model) == beta
-    assert default_budget(model, 1e-300) == 1000
 
 
 @settings(max_examples=40)
