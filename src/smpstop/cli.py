@@ -1,10 +1,11 @@
 """Command line front end: validate models, solve stopping problems, simulate rules.
 
 Exit codes: 0 success, 2 schema or validation failure (also a kernel whose
-simulated jumps pile up inside the horizon, and an --eps too small for any
-iteration budget), 3 fixed point not reached to --tol within the grid's
-steps + 2 sweeps, 4 contraction hypothesis violated, 5 unknown simulation
-rule.
+simulated jumps pile up inside the horizon, an --eps too small for any
+iteration budget, and an --out that cannot be written), 3 fixed point not
+reached to --tol within the grid's steps + 2 sweeps, 4 contraction
+hypothesis violated, 5 unknown simulation rule. Commands raise
+``CommandError``; ``main`` alone prints its lines and returns its code.
 """
 
 from __future__ import annotations
@@ -75,33 +76,66 @@ class RunConfig:
             bad.append("--eps must be positive and finite")
         if self.n_paths < 2:
             bad.append("--paths must be at least 2")
+        if self.rule == "eps" and self.eps is None:
+            bad.append("--eps is required for rule 'eps'")
         return bad
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+class CommandError(Exception):
+    """A command's failure: the exit code ``main`` returns and the lines it prints."""
+
+    def __init__(self, code: int, *lines: str):
+        super().__init__(*lines)
+        self.code = code
+        self.lines = lines
 
 
 def _load(cfg: RunConfig) -> SMPModel:
-    model = load_model(cfg.model_path)
-    report = validate_model(model)
-    if not report.ok:
-        raise ModelFormatError(report.violations)
+    try:
+        model = load_model(cfg.model_path)
+    except ModelFormatError as err:
+        violations = err.violations
+    else:
+        violations = validate_model(model).violations
+    if violations:
+        raise CommandError(EXIT_SCHEMA, "model INVALID:", *(f"  - {v}" for v in violations))
     return model
 
 
-def _print_violations(violations) -> None:
-    print("model INVALID:")
-    for v in violations:
-        print(f"  - {v}")
+def _grid(cfg: RunConfig, model: SMPModel) -> TimeGrid:
+    try:
+        return TimeGrid(model.horizon, cfg.grid_steps)
+    except ValueError as err:
+        raise CommandError(EXIT_SCHEMA, f"cannot build the grid: {err}") from None
+
+
+def _eps_region(cfg: RunConfig, model: SMPModel, grid: TimeGrid, instead: str):
+    """The eps-stopping region; ``instead`` names what to use when beta = 1."""
+    try:
+        return eps_region(model, grid, cfg.eps, eta=cfg.eta)
+    except ContractionError as err:
+        message = f"contraction hypothesis violated; use {instead} instead ({err})"
+        raise CommandError(EXIT_CONTRACTION, message) from None
+    except ValueError as err:
+        raise CommandError(EXIT_SCHEMA, f"no iteration budget for --eps: {err}") from None
+
+
+def _write(cfg: RunConfig, artifacts: dict) -> None:
+    """Create --out and write each artifact: a dict as JSON, a callable is called with its path."""
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, artifact in artifacts.items():
+            if isinstance(artifact, dict):
+                (out / name).write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+            else:
+                artifact(out / name)
+    except OSError as err:
+        raise CommandError(EXIT_SCHEMA, f"cannot write to --out: {err}") from None
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    try:
-        model = _load(cfg)
-    except ModelFormatError as err:
-        _print_violations(err.violations)
-        return EXIT_SCHEMA
+    model = _load(cfg)
     horizon = model.horizon
     print(f"model ok: {len(model.states)} states, horizon T = {horizon:g}")
     print(f"{'delta':>12}  {'sup_x Q(delta,E|x)':>20}")
@@ -116,26 +150,16 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    try:
-        model = _load(cfg)
-    except ModelFormatError as err:
-        _print_violations(err.violations)
-        return EXIT_SCHEMA
-    try:
-        grid = TimeGrid(model.horizon, cfg.grid_steps)
-    except ValueError as err:
-        print(f"cannot build the grid: {err}")
-        return EXIT_SCHEMA
+    model = _load(cfg)
+    grid = _grid(cfg, model)
     v, report = solve_value(model, grid, tol=cfg.tol)
     u, _ = solve_smdp(build_smdp(model), grid, tol=cfg.tol)
     discrepancy = route_discrepancy(v, u)
     region = stopping_region(v, model, eta=cfg.eta)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_value_csv(v, model.states, out / "value.csv")
-    write_region_csv(region, model.states, out / "region.csv")
-    _write_json(
-        {
+    _write(cfg, {
+        "value.csv": lambda path: write_value_csv(v, model.states, path),
+        "region.csv": lambda path: write_region_csv(region, model.states, path),
+        "solve_report.json": {
             "horizon": model.horizon,
             "grid_steps": grid.steps,
             "tol": cfg.tol,
@@ -147,57 +171,37 @@ def cmd_solve(cfg: RunConfig) -> int:
             "cross_check_discrepancy": discrepancy,
             "boundary": dict(zip(model.states.labels, region.boundary)),
         },
-        out / "solve_report.json",
-    )
+    })
     print(
         f"solved in {report.iterations} iterations, residual {report.residual:.3g}, "
         f"cross-check {discrepancy:.3g}"
     )
     if not report.converged:
-        print("iteration budget exhausted before reaching tol; results written anyway")
-        return EXIT_BUDGET
+        raise CommandError(EXIT_BUDGET, "iteration budget exhausted before reaching tol; results written anyway")
     return EXIT_OK
 
 
 def cmd_eps(cfg: RunConfig) -> int:
-    try:
-        model = _load(cfg)
-    except ModelFormatError as err:
-        _print_violations(err.violations)
-        return EXIT_SCHEMA
-    try:
-        grid = TimeGrid(model.horizon, cfg.grid_steps)
-    except ValueError as err:
-        print(f"cannot build the grid: {err}")
-        return EXIT_SCHEMA
-    try:
-        result = eps_region(model, grid, cfg.eps, eta=cfg.eta)
-    except ContractionError as err:
-        print(f"contraction hypothesis violated; use the solve command instead ({err})")
-        return EXIT_CONTRACTION
-    except ValueError as err:
-        print(f"no iteration budget for --eps: {err}")
-        return EXIT_SCHEMA
+    model = _load(cfg)
+    grid = _grid(cfg, model)
+    result = _eps_region(cfg, model, grid, "the solve command")
     gap = exactness_gap(model, result.region, result.refined)
     verdict = "exact" if gap > cfg.eps else "eps-optimal"
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_region_csv(result.region, model.states, out / "eps_region.csv")
-    _write_json(
-        {
+    _write(cfg, {
+        "eps_region.csv": lambda path: write_region_csv(result.region, model.states, path),
+        "eps_report.json": {
             "eps": cfg.eps,
             "beta": result.budget.beta,
             "bound_M": result.budget.bound,
             "n_iterations": result.budget.n_iter,
-            "gap": None if gap == float("inf") else gap,
-            "gap_infinite": gap == float("inf"),
+            "gap": None if gap == math.inf else gap,
+            "gap_infinite": gap == math.inf,
             "verdict": verdict,
             "grid_steps": grid.steps,
             "eta": cfg.eta,
         },
-        out / "eps_report.json",
-    )
-    gap_text = "inf" if gap == float("inf") else f"{gap:.6g}"
+    })
+    gap_text = "inf" if gap == math.inf else f"{gap:.6g}"
     print(
         f"beta = {result.budget.beta:.6g}, M = {result.budget.bound:.6g}, "
         f"N = {result.budget.n_iter}, gap = {gap_text}: {verdict}"
@@ -207,62 +211,29 @@ def cmd_eps(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.rule not in RULE_NAMES:
-        print(f"unknown rule '{cfg.rule}'; choose one of {', '.join(RULE_NAMES)}")
-        return EXIT_RULE
-    try:
-        model = _load(cfg)
-    except ModelFormatError as err:
-        _print_violations(err.violations)
-        return EXIT_SCHEMA
+        raise CommandError(EXIT_RULE, f"unknown rule '{cfg.rule}'; choose one of {', '.join(RULE_NAMES)}")
+    model = _load(cfg)
     x0 = cfg.x0 if cfg.x0 is not None else model.states.labels[0]
-    try:
-        model.states.index(x0)
-    except ValueError as err:
-        print(str(err))
-        return EXIT_SCHEMA
-
+    if x0 not in model.states.labels:
+        raise CommandError(EXIT_SCHEMA, f"unknown state {x0!r}")
     dp_value = None
-    if cfg.rule in ("optimal", "eps"):
-        try:
-            grid = TimeGrid(model.horizon, cfg.grid_steps)
-        except ValueError as err:
-            print(f"cannot build the grid: {err}")
-            return EXIT_SCHEMA
     if cfg.rule == "optimal":
-        v, _ = solve_value(model, grid, tol=cfg.tol)
+        v, _ = solve_value(model, _grid(cfg, model), tol=cfg.tol)
         rule = RegionRule(stopping_region(v, model, eta=cfg.eta))
         dp_value = float(v.values[-1, model.states.index(x0)])
     elif cfg.rule == "eps":
-        if cfg.eps is None:
-            print("--eps is required for rule 'eps'")
-            return EXIT_SCHEMA
-        try:
-            rule = RegionRule(eps_region(model, grid, cfg.eps, eta=cfg.eta).region)
-        except ContractionError as err:
-            print(f"contraction hypothesis violated; use rule 'optimal' instead ({err})")
-            return EXIT_CONTRACTION
-        except ValueError as err:
-            print(f"no iteration budget for --eps: {err}")
-            return EXIT_SCHEMA
-    elif cfg.rule == "always":
-        rule = AlwaysStop()
+        rule = RegionRule(_eps_region(cfg, model, _grid(cfg, model), "rule 'optimal'").region)
     else:
-        rule = NeverStop()
-
+        rule = AlwaysStop() if cfg.rule == "always" else NeverStop()
     try:
         report = estimate_value(model, rule, x0, cfg.n_paths, cfg.seed)
     except JumpLimitError as err:
-        print(f"cannot simulate this model: {err}")
-        return EXIT_SCHEMA
-    payload = report.to_json_dict()
-    payload["rule"] = cfg.rule
-    payload["x0"] = x0
+        raise CommandError(EXIT_SCHEMA, f"cannot simulate this model: {err}") from None
+    payload = {**report.to_json_dict(), "rule": cfg.rule, "x0": x0}
     if dp_value is not None:
         payload["dp_value"] = dp_value
         payload["abs_delta_vs_dp"] = abs(report.mean - dp_value)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(payload, out / "mc_report.json")
+    _write(cfg, {"mc_report.json": payload})
     print(f"rule {cfg.rule}: mean cost {report.mean:.6g} (SE {report.std_err:.3g}) from x0 = {x0}")
     if dp_value is not None:
         print(f"dp value at (T, x0) = {dp_value:.6g}, |MC - DP| = {payload['abs_delta_vs_dp']:.3g}")
@@ -302,20 +273,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    problems = cfg.validate()
-    if problems:
-        for p in problems:
-            print(p)
-        return EXIT_SCHEMA
-    handler = {
-        "check": cmd_check,
-        "solve": cmd_solve,
-        "eps": cmd_eps,
-        "simulate": cmd_simulate,
-    }[cfg.command]
-    return handler(cfg)
+    cfg = config_from_args(build_parser().parse_args(argv))
+    commands = {"check": cmd_check, "solve": cmd_solve, "eps": cmd_eps, "simulate": cmd_simulate}
+    try:
+        problems = cfg.validate()
+        if problems:
+            raise CommandError(EXIT_SCHEMA, *problems)
+        return commands[cfg.command](cfg)
+    except CommandError as err:
+        print(*err.lines, sep="\n")
+        return err.code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -147,27 +147,22 @@ def dist_from_dict(data) -> SojournDist:
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("distribution must be an object with a 'type' field")
     kind = data["type"]
-    try:
-        if kind == "exp":
-            return Exponential(rate=float(data["rate"]))
-        if kind == "weibull":
-            return Weibull(shape=float(data["shape"]), scale=float(data["scale"]))
-        if kind == "uniform":
-            return Uniform(a=float(data["a"]), b=float(data["b"]))
-        if kind == "point":
-            return PointMass(d=float(data["d"]))
-    except KeyError as missing:
-        raise ValueError(f"distribution '{kind}' missing field {missing}") from None
-    raise ValueError(f"unknown distribution type '{kind}'")
+    law = _TAGS.get(kind) if isinstance(kind, str) else None
+    if law is None:
+        raise ValueError(f"unknown distribution type '{kind}'")
+    params = {}
+    for field in fields(law):
+        if field.name not in data:
+            raise ValueError(f"distribution '{kind}' missing field '{field.name}'")
+        value = data[field.name]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{field.name} must be a number")
+        params[field.name] = float(value)
+    return law(**params)
 
 
 def dist_to_dict(dist: SojournDist) -> dict:
-    if isinstance(dist, Exponential):
-        return {"type": "exp", "rate": dist.rate}
-    if isinstance(dist, Weibull):
-        return {"type": "weibull", "shape": dist.shape, "scale": dist.scale}
-    if isinstance(dist, Uniform):
-        return {"type": "uniform", "a": dist.a, "b": dist.b}
-    if isinstance(dist, PointMass):
-        return {"type": "point", "d": dist.d}
+    for kind, law in _TAGS.items():
+        if isinstance(dist, law):
+            return {"type": kind, **{field.name: getattr(dist, field.name) for field in fields(law)}}
     raise TypeError(f"cannot encode {type(dist).__name__}")

@@ -343,12 +343,14 @@ def model_from_dict(data) -> SMPModel:
 def load_model(path) -> SMPModel:
     """Read a model JSON file; raises ModelFormatError on any schema violation."""
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ModelFormatError([f"cannot read model file: {err}"]) from None
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
+        # every schema number is a float, so integers parse as floats: a huge
+        # one reads as inf, which validation reports, instead of overflowing
+        data = json.loads(text, parse_int=float)
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ModelFormatError([f"invalid JSON: {err}"]) from None
     return model_from_dict(data)
 

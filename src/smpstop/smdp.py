@@ -118,14 +118,12 @@ def check_smdp_regularity(sm: SMDPModel, delta: float, eps: float) -> bool:
 class DeterministicMarkovPolicy:
     """Action table on grid nodes; the last column is the rest state.
 
-    ``zero_at_origin`` pins the action at zero remaining horizon to
-    continue on base states. Policies with that property are exactly the
-    ones whose induced stopping rules never fire once the horizon is spent.
+    Base states continue at zero remaining horizon, so the induced stopping
+    rule never fires once the horizon is spent.
     """
 
     grid: TimeGrid
     table: np.ndarray
-    zero_at_origin: bool = True
 
     def __post_init__(self):
         tab = np.array(self.table, dtype=np.int8)
@@ -135,7 +133,7 @@ class DeterministicMarkovPolicy:
             raise ValueError("policy actions must be 0 (continue) or 1 (stop)")
         if (tab[:, -1] != STOP).any():
             raise ValueError("the rest state admits only the stop action")
-        if self.zero_at_origin and (tab[0, :-1] != CONTINUE).any():
+        if (tab[0, :-1] != CONTINUE).any():
             raise ValueError("policy must continue at zero remaining horizon")
         tab.flags.writeable = False
         object.__setattr__(self, "table", tab)

@@ -101,6 +101,28 @@ def test_solve_rejects_infinite_rate(tmp_path, capsys):
     assert "sojourn[0][1]: rate must be finite" in capsys.readouterr().out
 
 
+def one_state_with_rate(rate: bytes) -> bytes:
+    return b'{"states": ["a"], "T": 1, "transition": [[1]], "sojourn": [[{"type": "exp", "rate": %s}]], ' \
+        b'"cost_rate": [1], "terminal_cost": [0.5]}' % rate
+
+
+MALFORMED_INPUT = {
+    "null-rate": (one_state_with_rate(b"null"), "sojourn[0][0]: rate must be a number"),
+    "huge-int-rate": (one_state_with_rate(b"1" + b"0" * 5000), "sojourn[0][0]: rate must be finite"),
+    "not-utf-8": (b"\xff\xfe{}", "cannot read model file: 'utf-8' codec can't decode byte 0xff"),
+    "deep-nesting": (b"[" * 100000 + b"]" * 100000, "invalid JSON: maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INPUT)
+def test_malformed_model_input_exits_2(tmp_path, capsys, name):
+    payload, message = MALFORMED_INPUT[name]
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    assert run("check", "--model", str(path)) == 2
+    assert capsys.readouterr().out.startswith(f"model INVALID:\n  - {message}")
+
+
 def test_check_does_not_load_fft(m1_file):
     # numpy.fft loads on the first sweep; a model check runs none
     code = (
@@ -280,6 +302,12 @@ def test_simulate_eps_rule_requires_eps(m1_file, tmp_path, capsys):
     assert "--eps is required" in capsys.readouterr().out
 
 
+def test_flag_errors_come_before_the_model_is_read(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run("simulate", "--model", str(missing), "--rule", "eps", "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().out == "--eps is required for rule 'eps'\n"
+
+
 def test_simulate_unknown_start_state(m1_file, tmp_path, capsys):
     assert run("simulate", "--model", str(m1_file), "--x0", "zz", "--paths", "10", "--out", str(tmp_path)) == 2
     assert "unknown state" in capsys.readouterr().out
@@ -351,6 +379,22 @@ def test_solve_and_eps_artifacts_match_recorded_hashes(m1_file, m2_file, tmp_pat
     assert run(command, "--model", str(path), "--out", str(tmp_path), *extra) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve",), ("eps", "--eps", "0.1"), ("simulate", "--paths", "10")],
+    ids=lambda a: a[0],
+)
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+def test_unusable_out_exits_2(m1_file, tmp_path, capsys, argv, under_file):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under_file else blocker
+    assert run(*argv, "--model", str(m1_file), "--grid", "64", "--out", str(out)) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write to --out: ") and str(out) in lines[0]
+    assert blocker.read_text() == "keep\n"
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,23 @@ def test_dict_round_trip(dist):
         {"rate": 1.0},
         "exp",
         {"type": "point", "d": 0.0},
+        {"type": ["exp"], "rate": 1.0},
+        {"type": "exp", "rate": None},
+        {"type": "exp", "rate": [1.0]},
+        {"type": "exp", "rate": {"value": 1.0}},
+        {"type": "exp", "rate": "2"},
+        {"type": "weibull", "shape": 1.5, "scale": True},
     ],
 )
 def test_bad_dicts_rejected(payload):
     with pytest.raises(ValueError):
         dist_from_dict(payload)
+
+
+def test_bad_dict_messages():
+    with pytest.raises(ValueError, match="^distribution 'weibull' missing field 'scale'$"):
+        dist_from_dict({"type": "weibull", "shape": 1.5})
+    with pytest.raises(ValueError, match=r"^unknown distribution type '\['exp'\]'$"):
+        dist_from_dict({"type": ["exp"], "rate": 1.0})
+    with pytest.raises(ValueError, match="^rate must be a number$"):
+        dist_from_dict({"type": "exp", "rate": None})

@@ -17,7 +17,6 @@ import smpstop.simulate as sim
 from smpstop import (
     AlwaysStop,
     CostModel,
-    DeterministicMarkovPolicy,
     Exponential,
     HistoryRule,
     MCReport,
@@ -153,15 +152,13 @@ def test_streams_draw_for_a_subset_of_rows():
 
 
 def everywhere_rules(grid: TimeGrid, n: int) -> dict[str, StoppingRule]:
-    """A region and a table that stop at every node, zero remaining horizon included."""
-    table = np.ones((grid.steps + 1, n + 1), dtype=np.int8)
+    """A region that stops at every node, zero remaining horizon included."""
     return {
         "full_region": RegionRule(StoppingRegion(grid, np.ones((grid.steps + 1, n), dtype=bool), (None,) * n)),
-        "full_policy": PolicyRule(DeterministicMarkovPolicy(grid, table, zero_at_origin=False)),
     }
 
 
-@pytest.mark.parametrize("name", ["region", "policy", "always", "never", "fallback", "full_region", "full_policy"])
+@pytest.mark.parametrize("name", ["region", "policy", "always", "never", "fallback", "full_region"])
 def test_stops_many_matches_stops(name):
     model = edge_case_model()
     grid = TimeGrid(model.horizon, 64)

@@ -197,7 +197,6 @@ def test_extracted_policy_boundary(m1):
     assert np.all(policy.table[first:, 0] == STOP)
     assert policy.table[0, 0] == CONTINUE
     assert np.all(policy.table[:, 1] == STOP)
-    assert policy.zero_at_origin
 
 
 def test_extracted_policy_stops_everywhere_when_terminal_is_free():
@@ -223,7 +222,6 @@ def test_policy_table_validation(m1):
     bad_origin[0, 0] = STOP
     with pytest.raises(ValueError, match="zero remaining horizon"):
         DeterministicMarkovPolicy(grid=grid, table=bad_origin)
-    DeterministicMarkovPolicy(grid=grid, table=bad_origin, zero_at_origin=False)
     with pytest.raises(ValueError, match="shape"):
         DeterministicMarkovPolicy(grid=grid, table=good[:5])
 
