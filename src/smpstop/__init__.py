@@ -19,13 +19,11 @@ from .model import (
     ValidationReport,
     check_regularity,
     contraction_factor,
-    kernel_cdf,
     kernel_mass,
     load_model,
     model_from_dict,
     model_to_dict,
     save_model,
-    survival_integral,
     validate_model,
 )
 from .smdp import (

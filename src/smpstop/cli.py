@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grid import TimeGrid
+from .grid import TimeGrid, discretize_kernel
 from .model import (
     ModelFormatError,
     SMPModel,
@@ -152,8 +152,9 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     model = _load(cfg)
     grid = _grid(cfg, model)
-    v, report = solve_value(model, grid, tol=cfg.tol)
-    u, _ = solve_smdp(build_smdp(model), grid, tol=cfg.tol)
+    kg = discretize_kernel(model.kernel, grid)
+    v, report = solve_value(model, grid, tol=cfg.tol, kg=kg)
+    u, _ = solve_smdp(build_smdp(model), grid, tol=cfg.tol, kg=kg)
     discrepancy = route_discrepancy(v, u)
     region = stopping_region(v, model, eta=cfg.eta)
     _write(cfg, {

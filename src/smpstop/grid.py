@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,38 +70,68 @@ class KernelGrid:
     """Kernel of a jump process evaluated on a time grid.
 
     mass[x, k]        total jump probability within node k from state x
-    jump_mass[x,y,k]  probability of a jump to y with sojourn in (s_{k-1}, s_k]
     survival[x, k]    trapezoidal integral of (1 - mass[x, .]) over [0, s_k]
     edges[x, y]       whether the jump-chain probability is positive
+    spectra[x, y]     real FFT of jump_mass[x, y, 1:], zero-padded to the
+                      convolution length (see ``convolve_values``)
+
+    ``jump_mass[x, y, k]``, the probability of a jump to y with sojourn in
+    (s_{k-1}, s_k], is not kept by ``discretize_kernel``: the sweeps read
+    only its spectra. These take n^2 (L/2 + 1) * 16 bytes for transform
+    length L, 1.5 MiB at 8 states and K = 1536, twice the jump masses, and
+    keeping both raised a ``solve`` process's peak memory by about 5%.
+    The pointwise references that read ``jump_mass`` get it recomputed by
+    the same code on first access, and kept from then on.
     """
 
     grid: TimeGrid
+    kernel: "SemiMarkovKernel"
     mass: np.ndarray
-    jump_mass: np.ndarray
     survival: np.ndarray
     edges: np.ndarray
+    spectra: np.ndarray
+
+    @cached_property
+    def jump_mass(self) -> np.ndarray:
+        """The n x n x (K + 1) per-step jump masses, recomputed from the kernel on first access."""
+        nodes = self.grid.nodes
+        jump = np.stack([_source_row(self.kernel, nodes, x)[1] for x in range(self.edges.shape[0])])
+        jump.flags.writeable = False
+        return jump
+
+
+def _source_row(kernel: "SemiMarkovKernel", nodes: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped jump mass mass[k] and per-step jump masses jump[y, k] out of state x."""
+    P = kernel.transition
+    n = P.shape[0]
+    mass = np.zeros(nodes.size)
+    jump = np.zeros((n, nodes.size))
+    for y in range(n):
+        if P[x, y] > 0.0:
+            F = np.asarray(kernel.sojourn[x][y].cdf(nodes), dtype=float)
+            mass += P[x, y] * F
+            jump[y, 1:] = P[x, y] * np.diff(F)
+    return mass, jump
 
 
 def discretize_kernel(kernel: "SemiMarkovKernel", grid: TimeGrid) -> KernelGrid:
-    """Evaluate CDFs, per-step jump masses, and survival integrals on the grid.
+    """Evaluate CDFs, per-step jump masses, their spectra, and survival integrals on the grid.
 
     The jump mass of (s_{k-1}, s_k] is assigned to the right endpoint s_k,
     which keeps one-step operators monotone without interpolation and places
-    atoms consistently with right-continuity of the kernel.
+    atoms consistently with right-continuity of the kernel. The jump masses
+    are transformed one source state at a time and then dropped, so only
+    their spectra stay resident.
     """
-    P = kernel.transition
-    n = P.shape[0]
+    n = kernel.transition.shape[0]
     K = grid.steps
     nodes = grid.nodes
+    size = _fft_length(2 * K - 1)
     mass = np.zeros((n, K + 1))
-    jump = np.zeros((n, n, K + 1))
-    edges = P > 0.0
+    spectra = np.empty((n, n, size // 2 + 1), dtype=complex)
     for x in range(n):
-        for y in range(n):
-            if edges[x, y]:
-                F = np.asarray(kernel.sojourn[x][y].cdf(nodes), dtype=float)
-                mass[x] += P[x, y] * F
-                jump[x, y, 1:] = P[x, y] * np.diff(F)
+        mass[x], jump = _source_row(kernel, nodes, x)
+        np.fft.rfft(jump[:, 1:], size, out=spectra[x])
     np.clip(mass, 0.0, 1.0, out=mass)
     hold = 1.0 - mass
     survival = np.zeros((n, K + 1))
@@ -108,9 +139,10 @@ def discretize_kernel(kernel: "SemiMarkovKernel", grid: TimeGrid) -> KernelGrid:
     # integral never exceeds the node time even in floating point
     survival[:, 1:] = grid.dt * np.cumsum(0.5 * (hold[:, :-1] + hold[:, 1:]), axis=1)
     np.minimum(survival, nodes[None, :], out=survival)
-    for arr in (mass, jump, survival, edges):
+    edges = kernel.transition > 0.0
+    for arr in (mass, survival, edges, spectra):
         arr.flags.writeable = False
-    return KernelGrid(grid=grid, mass=mass, jump_mass=jump, survival=survival, edges=edges)
+    return KernelGrid(grid=grid, kernel=kernel, mass=mass, survival=survival, edges=edges, spectra=spectra)
 
 
 def _fft_length(m: int) -> int:
@@ -133,9 +165,9 @@ def convolve_values(kg: KernelGrid, v: np.ndarray) -> np.ndarray:
     kernel is jump_mass[..., 1:] and the values are v[:K]. A zero-padded
     real FFT of length >= 2K - 1 then gives the linear convolution without
     wrap-around. Node 0 is an exact zero, and round-off below zero is
-    clipped, since every term is nonnegative. The kernel rows are
-    transformed again on every call, one state x at a time: caching all
-    n^2 spectra would cost more peak memory than the transforms cost time.
+    clipped, since every term is nonnegative. The kernel's spectra come
+    precomputed with ``kg``, so a call transforms only the n value columns
+    and inverts the n sums of their products.
     """
     K = kg.grid.steps
     n = kg.mass.shape[0]
@@ -145,8 +177,7 @@ def convolve_values(kg: KernelGrid, v: np.ndarray) -> np.ndarray:
     for x in range(n):
         ys = np.flatnonzero(kg.edges[x])
         if ys.size == n:
-            ys = slice(None)  # a dense row indexes by view, copying neither kernel nor spectra
-        k_hat = np.fft.rfft(kg.jump_mass[x, ys, 1:], size)
-        k_hat *= v_hat[ys]
+            ys = slice(None)  # a dense row indexes by view, copying neither spectra nor values
+        k_hat = kg.spectra[x, ys] * v_hat[ys]
         np.maximum(np.fft.irfft(k_hat.sum(axis=0), size)[:K], 0.0, out=out[1:, x])
     return out

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import SojournDist, dist_from_dict, dist_to_dict
-from .grid import TimeGrid, discretize_kernel
 
 __all__ = [
     "ROW_SUM_TOL",
@@ -31,9 +30,7 @@ __all__ = [
     "ValidationReport",
     "RegularityCheck",
     "validate_model",
-    "kernel_cdf",
     "kernel_mass",
-    "survival_integral",
     "check_regularity",
     "contraction_factor",
     "model_from_dict",
@@ -188,13 +185,6 @@ def validate_model(model: SMPModel) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def kernel_cdf(kernel: SemiMarkovKernel, x: int, y: int, t: float) -> float:
-    """Edge-conditional sojourn CDF F(t|x,y); the edge must be present."""
-    if kernel.transition[x, y] <= 0.0:
-        raise ValueError(f"no edge from state {x} to state {y}")
-    return float(kernel.sojourn[x][y].cdf(t))
-
-
 def kernel_mass(kernel: SemiMarkovKernel, x: int, t: float) -> float:
     """Total jump probability Q(t, E|x) = sum_y P(y|x) F(t|x,y), clipped into [0, 1]."""
     row = kernel.transition[x]
@@ -203,15 +193,6 @@ def kernel_mass(kernel: SemiMarkovKernel, x: int, t: float) -> float:
         if row[y] > 0.0:
             total += row[y] * float(kernel.sojourn[x][y].cdf(t))
     return min(max(total, 0.0), 1.0)
-
-
-def survival_integral(kernel: SemiMarkovKernel, x: int, s: float, grid: TimeGrid) -> float:
-    """Trapezoidal integral of the no-jump probability 1 - Q(t, E|x) over [0, s].
-
-    ``s`` must be a grid node; off-grid times are rejected.
-    """
-    k = grid.index_of(s)
-    return float(discretize_kernel(kernel, grid).survival[x, k])
 
 
 def check_regularity(model: SMPModel, delta: float, eps: float) -> RegularityCheck:

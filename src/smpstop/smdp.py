@@ -165,6 +165,7 @@ def _fixed_point(
     width: int,
     sweep: Callable[[KernelGrid, np.ndarray], np.ndarray],
     tol: float,
+    kg: KernelGrid | None = None,
 ) -> tuple[ValueGrid, SolveReport]:
     """Iterate ``sweep`` from a zero table of ``width`` columns up to its fixed point.
 
@@ -175,11 +176,13 @@ def _fixed_point(
     early once the sup-norm successive difference drops to ``tol``; a
     ``tol`` below round-off is flagged as not converged, and the last
     iterate is still returned. The fixed-point residual is re-verified with
-    one extra sweep.
+    one extra sweep. A ``kg`` discretized on ``grid`` is used as given, so
+    solves on one grid can share one discretization.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    kg = discretize_kernel(model.kernel, grid)
+    if kg is None:
+        kg = discretize_kernel(model.kernel, grid)
     values = np.zeros((grid.steps + 1, width))
     diffs: list[float] = []
     for _ in range(grid.steps + 2):
@@ -262,13 +265,16 @@ def apply_T(sm: SMDPModel, v: ValueGrid, kg: KernelGrid | None = None) -> ValueG
     return ValueGrid(grid=v.grid, values=_t_sweep(sm, kg, v.values))
 
 
-def solve_smdp(sm: SMDPModel, grid: TimeGrid, tol: float = 1e-9) -> tuple[ValueGrid, SolveReport]:
+def solve_smdp(
+    sm: SMDPModel, grid: TimeGrid, tol: float = 1e-9, kg: KernelGrid | None = None
+) -> tuple[ValueGrid, SolveReport]:
     """Iterate the minimum-cost operator from zero up to its least fixed point.
 
-    Iterates are pointwise nondecreasing; the loop and its report are those
-    of ``_fixed_point``. The rest-state column stays zero.
+    Iterates are pointwise nondecreasing; the loop, its report and the
+    optional shared ``kg`` are those of ``_fixed_point``. The rest-state
+    column stays zero.
     """
-    return _fixed_point(sm.base, grid, sm.n_states, lambda kg, v: _t_sweep(sm, kg, v), tol)
+    return _fixed_point(sm.base, grid, sm.n_states, lambda kg, v: _t_sweep(sm, kg, v), tol, kg)
 
 
 def extract_optimal_policy(sm: SMDPModel, u: ValueGrid, eta: float = 1e-6) -> DeterministicMarkovPolicy:

@@ -104,16 +104,19 @@ def apply_G(v: ValueGrid, model: SMPModel, kg: KernelGrid | None = None) -> Valu
     return ValueGrid(grid=v.grid, values=_g_sweep(model, kg, v.values))
 
 
-def solve_value(model: SMPModel, grid: TimeGrid, tol: float = 1e-9) -> tuple[ValueGrid, SolveReport]:
+def solve_value(
+    model: SMPModel, grid: TimeGrid, tol: float = 1e-9, kg: KernelGrid | None = None
+) -> tuple[ValueGrid, SolveReport]:
     """Iterate the stopping recursion from zero up to the value function.
 
     Iterates are pointwise nondecreasing and bounded by min(g(x), s * max c).
     The loop and its report are those of ``smdp._fixed_point``: it stops at
     a sup-norm step of ``tol``, or flags non-convergence after the
     ``grid.steps + 2`` sweeps that reach the grid's fixed point, and
-    re-verifies the fixed-point residual with one extra sweep.
+    re-verifies the fixed-point residual with one extra sweep. A ``kg``
+    discretized on ``grid`` is used instead of discretizing the kernel again.
     """
-    return _fixed_point(model, grid, len(model.states), lambda kg, v: _g_sweep(model, kg, v), tol)
+    return _fixed_point(model, grid, len(model.states), lambda kg, v: _g_sweep(model, kg, v), tol, kg)
 
 
 def stopping_region(v: ValueGrid, model: SMPModel, eta: float = 1e-6) -> StoppingRegion:
@@ -200,13 +203,14 @@ def route_discrepancy(v: ValueGrid, u: ValueGrid) -> float:
 
 
 def cross_check(model: SMPModel, grid: TimeGrid, tol: float = 1e-9) -> float:
-    """Solve both routes and return their ``route_discrepancy``.
+    """Solve both routes on one discretized kernel and return their ``route_discrepancy``.
 
     The two computations are algebraically identical node for node, so any
     visible discrepancy indicates an implementation fault.
     """
-    u, _ = solve_smdp(build_smdp(model), grid, tol=tol)
-    v, _ = solve_value(model, grid, tol=tol)
+    kg = discretize_kernel(model.kernel, grid)
+    u, _ = solve_smdp(build_smdp(model), grid, tol=tol, kg=kg)
+    v, _ = solve_value(model, grid, tol=tol, kg=kg)
     return route_discrepancy(v, u)
 
 

@@ -1,9 +1,11 @@
 import contextlib
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import smpstop.grid
 import smpstop.smdp
 from smpstop import (
     CostModel,
@@ -13,9 +15,12 @@ from smpstop import (
     SemiMarkovKernel,
     SMPModel,
     StateSpace,
+    TimeGrid,
     Uniform,
     Weibull,
+    discretize_kernel,
 )
+from smpstop.grid import _fft_length
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -29,13 +34,37 @@ def reference_convolve_values(kg, v: np.ndarray) -> np.ndarray:
     """
     K = kg.grid.steps
     n = kg.mass.shape[0]
+    jump_mass = kg.jump_mass
     out = np.zeros_like(v)
     for x in range(n):
         acc = np.zeros(K + 1)
         for y in range(n):
             if kg.edges[x, y]:
-                acc = acc + np.convolve(kg.jump_mass[x, y], v[:, y])[: K + 1]
+                acc = acc + np.convolve(jump_mass[x, y], v[:, y])[: K + 1]
         out[:, x] = acc
+    return out
+
+
+def reference_fft_convolve_values(kg, v: np.ndarray) -> np.ndarray:
+    """``convolve_values`` with the kernel rows transformed again on every call.
+
+    It takes the same transforms of the same rows as the stored spectra and
+    combines them in the same order, so ``convolve_values`` must match it
+    bit for bit.
+    """
+    K = kg.grid.steps
+    n = kg.mass.shape[0]
+    size = _fft_length(2 * K - 1)
+    jump_mass = kg.jump_mass
+    v_hat = np.fft.rfft(v[:K].T, size)
+    out = np.zeros_like(v)
+    for x in range(n):
+        ys = np.flatnonzero(kg.edges[x])
+        if ys.size == n:
+            ys = slice(None)
+        k_hat = np.fft.rfft(jump_mass[x, ys, 1:], size)
+        k_hat *= v_hat[ys]
+        np.maximum(np.fft.irfft(k_hat.sum(axis=0), size)[:K], 0.0, out=out[1:, x])
     return out
 
 
@@ -45,6 +74,38 @@ def reference_recursion():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smpstop.smdp, "convolve_values", reference_convolve_values)
         yield
+
+
+@pytest.fixture
+def discretizations(monkeypatch) -> list[int]:
+    """Grid sizes of the ``discretize_kernel`` calls made while the test runs."""
+    calls: list[int] = []
+    real = smpstop.grid.discretize_kernel
+
+    def counting(kernel, grid):
+        calls.append(grid.steps)
+        return real(kernel, grid)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "smpstop" and getattr(module, "discretize_kernel", None) is real:
+            monkeypatch.setattr(module, "discretize_kernel", counting)
+    return calls
+
+
+def kernel_cdf(kernel: SemiMarkovKernel, x: int, y: int, t: float) -> float:
+    """Edge-conditional sojourn CDF F(t|x,y); the edge must be present."""
+    if kernel.transition[x, y] <= 0.0:
+        raise ValueError(f"no edge from state {x} to state {y}")
+    return float(kernel.sojourn[x][y].cdf(t))
+
+
+def survival_integral(kernel: SemiMarkovKernel, x: int, s: float, grid: TimeGrid) -> float:
+    """Trapezoidal integral of the no-jump probability 1 - Q(t, E|x) over [0, s].
+
+    ``s`` must be a grid node; off-grid times are rejected.
+    """
+    k = grid.index_of(s)
+    return float(discretize_kernel(kernel, grid).survival[x, k])
 
 
 def single_state_model(c=1.0, g=0.5, horizon=1.0, dist=None) -> SMPModel:

@@ -181,11 +181,21 @@ def test_solve_runs_two_fixed_point_solves(m2_file, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "solve_report.json").read_text())["cross_check_discrepancy"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("solve",), ("eps", "--eps", "0.01"), ("simulate", "--rule", "optimal", "--paths", "200")],
+    ids=["solve", "eps", "simulate"],
+)
+def test_one_kernel_discretization_per_command(m2_file, tmp_path, discretizations, argv):
+    assert run(*argv, "--model", str(m2_file), "--grid", "64", "--out", str(tmp_path)) == 0
+    assert discretizations == [64]
+
+
 def test_solve_budget_exhausted_exit_code(m1_file, tmp_path, monkeypatch, capsys):
     real = cli.solve_value
 
-    def exhausted(model, grid, tol=1e-9):
-        v, rep = real(model, grid, tol=tol)
+    def exhausted(model, grid, tol=1e-9, kg=None):
+        v, rep = real(model, grid, tol=tol, kg=kg)
         return v, SolveReport(rep.iterations, rep.final_diff, rep.residual, False, rep.sup_diffs)
 
     monkeypatch.setattr(cli, "solve_value", exhausted)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from smpstop import (
 )
 from smpstop.grid import _fft_length
 from smpstop.solver import _g_sweep
-from conftest import make_random_model, reference_convolve_values, single_state_model
+from conftest import make_random_model, reference_convolve_values, reference_fft_convolve_values, single_state_model
 
 STEPS = (1, 2, 3, 64, 128, 1536)
 
@@ -35,6 +37,22 @@ def sparse_free_running_model() -> SMPModel:
         costs=CostModel(np.zeros(3), np.array([0.4, 1.0, 0.2])),
         horizon=1.0,
     )
+
+
+def sparse_random_model(rng: np.random.Generator, n_states: int) -> SMPModel:
+    """A random model with each row's beyond-horizon edge kept and about half of its other edges dropped."""
+    model = make_random_model(rng, n_states)
+    P = model.kernel.transition.copy()
+    sojourn = [list(row) for row in model.kernel.sojourn]
+    for x in range(n_states):
+        for y in range(n_states):
+            d = sojourn[x][y]
+            beyond = isinstance(d, PointMass) and d.d > model.horizon
+            if d is not None and not beyond and rng.random() < 0.5:
+                P[x, y] = 0.0
+                sojourn[x][y] = None
+        P[x] /= P[x].sum()
+    return SMPModel(model.states, SemiMarkovKernel(P, tuple(map(tuple, sojourn))), model.costs, model.horizon)
 
 
 def _models() -> list[SMPModel]:
@@ -69,6 +87,62 @@ def test_fft_convolution_matches_reference(steps):
             assert np.max(np.abs(fast - reference_convolve_values(kg, v))) <= 1e-13 * (1.0 + np.max(np.abs(v)))
             assert np.all(fast[0] == 0.0)
             assert np.all(fast >= 0.0)
+
+
+@pytest.mark.parametrize("steps", (1, 2, 3, 64, 1536))
+def test_stored_spectra_match_per_call_transforms_bit_for_bit(steps):
+    # dense rows, sparse rows (the fancy-index path) and, in every random
+    # model, edges whose atom lies beyond the horizon and so carry no jump mass
+    rng = np.random.default_rng(1000 + steps)
+    models = [
+        sparse_free_running_model(),
+        *(make_random_model(rng, n) for n in (1, 3, 5)),
+        *(sparse_random_model(rng, n) for n in (3, 5)),
+    ]
+    assert any(not (m.kernel.transition > 0).all() for m in models)
+    for model in models:
+        kg = discretize_kernel(model.kernel, TimeGrid(model.horizon, steps))
+        shape = (steps + 1, len(model.states))
+        probes = (
+            np.zeros(shape),
+            rng.uniform(0.0, 3.0, shape),
+            np.where(rng.random(shape) < 0.5, 0.0, 1e3 * rng.random(shape)),
+        )
+        for v in probes:
+            assert np.array_equal(convolve_values(kg, v), reference_fft_convolve_values(kg, v))
+
+
+def test_sweeps_keep_only_the_spectra_resident():
+    # Resident after discretizing: the spectra plus the mass and survival
+    # tables. A sweep adds about 8 transient n x (K + 1) float64 tables:
+    # the value columns transposed and zero-padded (3), their spectra (2),
+    # one source state's products (2) and the output (1). Two more cover
+    # the per-row buffers. A resident jump_mass is n such tables.
+    n, steps = 8, 1536
+    rng = np.random.default_rng(8)
+    model = make_random_model(rng, n)
+    assert (model.kernel.transition > 0).all()
+    grid = TimeGrid(model.horizon, steps)
+    v = rng.uniform(0.0, 3.0, (steps + 1, n))
+    convolve_values(discretize_kernel(model.kernel, grid), v)  # load numpy.fft outside the trace
+    table = n * (steps + 1) * 8
+    tracemalloc.start()
+    try:
+        kg = discretize_kernel(model.kernel, grid)
+        for _ in range(2):
+            convolve_values(kg, v)
+        peak = tracemalloc.get_traced_memory()[1]
+        assert kg.jump_mass.nbytes == n * table
+        tracemalloc.reset_peak()
+        for _ in range(2):
+            convolve_values(kg, v)
+        peak_with_jump_mass = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = kg.spectra.nbytes + 12 * table
+    assert kg.spectra.nbytes == n * n * (3072 // 2 + 1) * 16
+    assert peak <= bound
+    assert peak_with_jump_mass > bound
 
 
 @pytest.mark.parametrize("steps", STEPS)

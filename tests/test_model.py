@@ -19,15 +19,13 @@ from smpstop import (
     check_regularity,
     contraction_factor,
     discretize_kernel,
-    kernel_cdf,
     kernel_mass,
     load_model,
     model_from_dict,
     save_model,
-    survival_integral,
     validate_model,
 )
-from conftest import make_random_model, single_state_model
+from conftest import kernel_cdf, make_random_model, single_state_model, survival_integral
 
 EXP1 = 1.0 - math.exp(-1.0)
 

@@ -375,6 +375,11 @@ def test_cross_check_tiny(m1, m2):
     assert cross_check(m2, TimeGrid(1.0, 512), tol=1e-10) <= 1e-12
 
 
+def test_cross_check_discretizes_the_kernel_once(m2, discretizations):
+    assert cross_check(m2, TimeGrid(1.0, 64)) == 0.0
+    assert discretizations == [64]
+
+
 def test_cross_check_zero_terminal():
     model = single_state_model(g=0.0)
     assert cross_check(model, TimeGrid(1.0, 64)) == 0.0
