@@ -131,7 +131,7 @@ def discretize_kernel(kernel: "SemiMarkovKernel", grid: TimeGrid) -> KernelGrid:
     spectra = np.empty((n, n, size // 2 + 1), dtype=complex)
     for x in range(n):
         mass[x], jump = _source_row(kernel, nodes, x)
-        np.fft.rfft(jump[:, 1:], size, out=spectra[x])
+        spectra[x] = np.fft.rfft(jump[:, 1:], size)
     np.clip(mass, 0.0, 1.0, out=mass)
     hold = 1.0 - mass
     survival = np.zeros((n, K + 1))

@@ -176,13 +176,16 @@ def _fixed_point(
     early once the sup-norm successive difference drops to ``tol``; a
     ``tol`` below round-off is flagged as not converged, and the last
     iterate is still returned. The fixed-point residual is re-verified with
-    one extra sweep. A ``kg`` discretized on ``grid`` is used as given, so
-    solves on one grid can share one discretization.
+    one extra sweep. A ``kg`` discretized from ``model.kernel`` on ``grid``
+    is used as given, so solves on one grid can share one discretization;
+    one from another kernel or grid is rejected.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if kg is None:
         kg = discretize_kernel(model.kernel, grid)
+    elif kg.grid != grid or kg.kernel is not model.kernel:
+        raise ValueError("kg was discretized from another kernel or grid")
     values = np.zeros((grid.steps + 1, width))
     diffs: list[float] = []
     for _ in range(grid.steps + 2):

@@ -114,10 +114,12 @@ def test_stored_spectra_match_per_call_transforms_bit_for_bit(steps):
 
 def test_sweeps_keep_only_the_spectra_resident():
     # Resident after discretizing: the spectra plus the mass and survival
-    # tables. A sweep adds about 8 transient n x (K + 1) float64 tables:
-    # the value columns transposed and zero-padded (3), their spectra (2),
-    # one source state's products (2) and the output (1). Two more cover
-    # the per-row buffers. A resident jump_mass is n such tables.
+    # tables (2 n x (K + 1) float64 tables). A sweep adds about 8 transient
+    # tables: the value columns transposed and zero-padded (3), their
+    # spectra (2), one source state's products (2) and the output (1). A
+    # resident jump_mass is n more tables, so the bound sits half of that
+    # above the 10 tables expected. How numpy allocates its FFT buffers
+    # moves the measured peak, so the margin is kept wide on both sides.
     n, steps = 8, 1536
     rng = np.random.default_rng(8)
     model = make_random_model(rng, n)
@@ -139,8 +141,8 @@ def test_sweeps_keep_only_the_spectra_resident():
         peak_with_jump_mass = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = kg.spectra.nbytes + 12 * table
-    assert kg.spectra.nbytes == n * n * (3072 // 2 + 1) * 16
+    assert kg.spectra.nbytes == n * n * (_fft_length(2 * steps - 1) // 2 + 1) * 16
+    bound = kg.spectra.nbytes + 10 * table + n * table // 2
     assert peak <= bound
     assert peak_with_jump_mass > bound
 

@@ -380,6 +380,15 @@ def test_cross_check_discretizes_the_kernel_once(m2, discretizations):
     assert discretizations == [64]
 
 
+def test_solve_rejects_a_kernel_grid_from_another_kernel_or_grid(m1, m2):
+    grid = TimeGrid(1.0, 64)
+    for kg in (discretize_kernel(m2.kernel, TimeGrid(2.0, 64)), discretize_kernel(m1.kernel, grid)):
+        with pytest.raises(ValueError, match="another kernel or grid"):
+            solve_value(m2, grid, kg=kg)
+        with pytest.raises(ValueError, match="another kernel or grid"):
+            solve_smdp(build_smdp(m2), grid, kg=kg)
+
+
 def test_cross_check_zero_terminal():
     model = single_state_model(g=0.0)
     assert cross_check(model, TimeGrid(1.0, 64)) == 0.0
