@@ -51,8 +51,7 @@ from .solver import (
     eps_region,
     exactness_gap,
     iteration_budget,
-    read_region_csv,
-    read_value_csv,
+    operator_discrepancy,
     route_discrepancy,
     solve_value,
     stopping_region,

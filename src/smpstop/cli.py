@@ -27,12 +27,11 @@ from .model import (
     validate_model,
 )
 from .simulate import AlwaysStop, JumpLimitError, NeverStop, RegionRule, estimate_value
-from .smdp import build_smdp, solve_smdp
 from .solver import (
     ContractionError,
     eps_region,
     exactness_gap,
-    route_discrepancy,
+    operator_discrepancy,
     solve_value,
     stopping_region,
     write_region_csv,
@@ -154,8 +153,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     grid = _grid(cfg, model)
     kg = discretize_kernel(model.kernel, grid)
     v, report = solve_value(model, grid, tol=cfg.tol, kg=kg)
-    u, _ = solve_smdp(build_smdp(model), grid, tol=cfg.tol, kg=kg)
-    discrepancy = route_discrepancy(v, u)
+    discrepancy = operator_discrepancy(v, model, kg)
     region = stopping_region(v, model, eta=cfg.eta)
     _write(cfg, {
         "value.csv": lambda path: write_value_csv(v, model.states, path),

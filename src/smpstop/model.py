@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-12
+# the CSV artifacts write labels unquoted, so these would split or break a row
+_CSV_BREAKING = ',"\r\n'
 
 
 class ModelFormatError(ValueError):
@@ -148,12 +150,15 @@ class RegularityCheck:
 def validate_model(model: SMPModel) -> ValidationReport:
     """Collect every invariant violation of a model into a report.
 
-    An empty report means: square row-stochastic jump matrix of finite
-    entries (rows sum to 1 within ROW_SUM_TOL), a sojourn law on every
-    positive edge, finite nonnegative costs, and a nonnegative finite
-    horizon.
+    An empty report means: state labels free of commas, double quotes and
+    line breaks, a square row-stochastic jump matrix of finite entries
+    (rows sum to 1 within ROW_SUM_TOL), a sojourn law on every positive
+    edge, finite nonnegative costs, and a nonnegative finite horizon.
     """
     bad: list[str] = []
+    for label in model.states.labels:
+        if any(ch in label for ch in _CSV_BREAKING):
+            bad.append(f"state label {label!r} holds a comma, double quote or line break; CSV rows cannot carry it")
     n = len(model.states)
     P = model.kernel.transition
     if model.kernel.n_states != n:

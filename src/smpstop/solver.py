@@ -14,7 +14,6 @@ the region in which stopping is optimal.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .smdp import (
     SolveReport,
     _continuation,
     _fixed_point,
+    apply_T,
     build_smdp,
     solve_smdp,
     stop_tolerance,
@@ -44,11 +44,10 @@ __all__ = [
     "eps_region",
     "exactness_gap",
     "route_discrepancy",
+    "operator_discrepancy",
     "cross_check",
     "write_value_csv",
-    "read_value_csv",
     "write_region_csv",
-    "read_region_csv",
 ]
 
 
@@ -202,6 +201,24 @@ def route_discrepancy(v: ValueGrid, u: ValueGrid) -> float:
     return float(np.max(np.abs(u.values[:, : v.values.shape[1]] - v.values)))
 
 
+def operator_discrepancy(v: ValueGrid, model: SMPModel, kg: KernelGrid | None = None) -> float:
+    """Sup distance between the decision process's operator T at [v, 0] and [G(v), 0].
+
+    ``[v, 0]`` is the recursion's table v with a zero rest-state column.
+    If ``T([v, 0]) = [G(v), 0]``, then [v, 0] has the same residual under T
+    as v has under G, so a solved v solves the decision process to the same
+    accuracy: the equivalence of the two routes, checked at the solution
+    with one sweep of each operator. The comparison covers the rest-state
+    column of T([v, 0]), which must be 0.
+    """
+    if kg is None:
+        kg = discretize_kernel(model.kernel, v.grid)
+    rest = np.zeros((v.grid.steps + 1, 1))
+    t = apply_T(build_smdp(model), ValueGrid(grid=v.grid, values=np.hstack((v.values, rest))), kg).values
+    g = np.hstack((apply_G(v, model, kg).values, rest))
+    return float(np.max(np.abs(t - g)))
+
+
 def cross_check(model: SMPModel, grid: TimeGrid, tol: float = 1e-9) -> float:
     """Solve both routes on one discretized kernel and return their ``route_discrepancy``.
 
@@ -216,47 +233,30 @@ def cross_check(model: SMPModel, grid: TimeGrid, tol: float = 1e-9) -> float:
 
 # ---------------------------------------------------------------------------
 # CSV artifacts
+#
+# Rows are written one node at a time from Python floats and bools, so no
+# file is ever held whole in memory. A label is never part of a format
+# template, so one holding % or braces is written as it is.
 
 
 def write_value_csv(v: ValueGrid, states: StateSpace, path) -> None:
     """Rows (s, state, value) for every node and state, 12 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write("s,state,value\n")
-        nodes = v.grid.nodes
-        for k in range(v.grid.steps + 1):
-            for x, label in enumerate(states.labels):
-                fh.write(f"{nodes[k]:.12g},{label},{v.values[k, x]:.12g}\n")
-
-
-def _read_grid_csv(path, column: str, parse, fill) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Read (nodes, labels, table) from rows (s, state, <column>); unset cells hold ``fill``."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    labels = tuple(dict.fromkeys(r["state"] for r in rows))
-    index = {s: i for i, s in enumerate(labels)}
-    nodes = sorted(dict.fromkeys(float(r["s"]) for r in rows))
-    node_index = {s: k for k, s in enumerate(nodes)}
-    table = np.full((len(nodes), len(labels)), fill)
-    for r in rows:
-        table[node_index[float(r["s"])], index[r["state"]]] = parse(r[column])
-    return np.array(nodes), labels, table
-
-
-def read_value_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Read back (nodes, labels, values) from a value CSV."""
-    return _read_grid_csv(path, "value", float, np.nan)
+        values = v.values
+        for k, node in enumerate(v.grid.nodes.tolist()):
+            s = "%.12g" % node
+            for label, value in zip(states.labels, values[k].tolist()):
+                fh.write("%s,%s,%.12g\n" % (s, label, value))
 
 
 def write_region_csv(region: StoppingRegion, states: StateSpace, path) -> None:
     """Rows (s, state, stop) with stop in {0, 1} for every node and state."""
     with open(path, "w", newline="") as fh:
         fh.write("s,state,stop\n")
-        nodes = region.grid.nodes
-        for k in range(region.grid.steps + 1):
-            for x, label in enumerate(states.labels):
-                fh.write(f"{nodes[k]:.12g},{label},{int(region.member[k, x])}\n")
-
-
-def read_region_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Read back (nodes, labels, member) from a region CSV."""
-    return _read_grid_csv(path, "stop", lambda cell: cell == "1", False)
+        tails = [("," + label + ",0\n", "," + label + ",1\n") for label in states.labels]
+        member = region.member
+        for k, node in enumerate(region.grid.nodes.tolist()):
+            s = "%.12g" % node
+            for tail, stop in zip(tails, member[k].tolist()):
+                fh.write(s + tail[stop])

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import sys
 
 import numpy as np
@@ -90,6 +91,50 @@ def discretizations(monkeypatch) -> list[int]:
         if name.split(".")[0] == "smpstop" and getattr(module, "discretize_kernel", None) is real:
             monkeypatch.setattr(module, "discretize_kernel", counting)
     return calls
+
+
+def _read_grid_csv(path, column: str, parse, fill) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Read (nodes, labels, table) from rows (s, state, <column>); unset cells hold ``fill``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    labels = tuple(dict.fromkeys(r["state"] for r in rows))
+    index = {s: i for i, s in enumerate(labels)}
+    nodes = sorted(dict.fromkeys(float(r["s"]) for r in rows))
+    node_index = {s: k for k, s in enumerate(nodes)}
+    table = np.full((len(nodes), len(labels)), fill)
+    for r in rows:
+        table[node_index[float(r["s"])], index[r["state"]]] = parse(r[column])
+    return np.array(nodes), labels, table
+
+
+def read_value_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Read back (nodes, labels, values) from a value CSV."""
+    return _read_grid_csv(path, "value", float, np.nan)
+
+
+def read_region_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Read back (nodes, labels, member) from a region CSV."""
+    return _read_grid_csv(path, "stop", lambda cell: cell == "1", False)
+
+
+def reference_write_value_csv(v, states, path) -> None:
+    """The value CSV formatted cell by cell from numpy scalars, one f-string per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write("s,state,value\n")
+        nodes = v.grid.nodes
+        for k in range(v.grid.steps + 1):
+            for x, label in enumerate(states.labels):
+                fh.write(f"{nodes[k]:.12g},{label},{v.values[k, x]:.12g}\n")
+
+
+def reference_write_region_csv(region, states, path) -> None:
+    """The region CSV formatted cell by cell from numpy scalars, one f-string per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write("s,state,stop\n")
+        nodes = region.grid.nodes
+        for k in range(region.grid.steps + 1):
+            for x, label in enumerate(states.labels):
+                fh.write(f"{nodes[k]:.12g},{label},{int(region.member[k, x])}\n")
 
 
 def kernel_cdf(kernel: SemiMarkovKernel, x: int, y: int, t: float) -> float:

@@ -19,8 +19,7 @@ from smpstop import (
     solve_value,
 )
 from smpstop.smdp import SolveReport
-from smpstop.solver import read_value_csv
-from conftest import single_state_model, two_state_model
+from conftest import read_value_csv, single_state_model, two_state_model
 
 
 @pytest.fixture
@@ -101,6 +100,34 @@ def test_solve_rejects_infinite_rate(tmp_path, capsys):
     assert "sojourn[0][1]: rate must be finite" in capsys.readouterr().out
 
 
+def _relabel(labels):
+    return lambda data: data.__setitem__("states", list(labels))
+
+
+COMMANDS = [("check",), ("solve",), ("eps", "--eps", "0.1"), ("simulate", "--paths", "10")]
+
+
+@pytest.mark.parametrize("label", ["ca,lm", 'bu"sy', "idle\rx", "idle\nx"], ids=["comma", "quote", "cr", "lf"])
+def test_labels_that_break_csv_rows_exit_2(tmp_path, capsys, label):
+    path = _write_m2_with(tmp_path, _relabel([label, "b"]))
+    for argv in COMMANDS:
+        out = tmp_path / "o"
+        assert run(*argv, "--model", str(path), "--grid", "64", "--out", str(out)) == 2, argv
+        assert capsys.readouterr().out == f"model INVALID:\n  - state label {label!r} holds a comma, " \
+            "double quote or line break; CSV rows cannot carry it\n"
+        assert not out.exists()
+
+
+def test_labels_with_format_characters_are_written_as_they_are(tmp_path):
+    path = _write_m2_with(tmp_path, _relabel(["100%", "{x}"]))
+    out = tmp_path / "o"
+    assert run("solve", "--model", str(path), "--grid", "64", "--out", str(out)) == 0
+    for name in ("value.csv", "region.csv"):
+        lines = (out / name).read_text().splitlines()
+        assert lines[1:3] == ["0,100%,0", "0,{x},0"]
+    assert read_value_csv(out / "value.csv")[1] == ("100%", "{x}")
+
+
 def one_state_with_rate(rate: bytes) -> bytes:
     return b'{"states": ["a"], "T": 1, "transition": [[1]], "sojourn": [[{"type": "exp", "rate": %s}]], ' \
         b'"cost_rate": [1], "terminal_cost": [0.5]}' % rate
@@ -167,7 +194,7 @@ def test_solve_round_trip_12_digits(m2_file, tmp_path):
     assert labels == model.states.labels
 
 
-def test_solve_runs_two_fixed_point_solves(m2_file, tmp_path, monkeypatch):
+def test_solve_runs_one_fixed_point_solve(m2_file, tmp_path, monkeypatch):
     reports = []
 
     def counting(*args, **kwargs):
@@ -177,8 +204,36 @@ def test_solve_runs_two_fixed_point_solves(m2_file, tmp_path, monkeypatch):
     for module in (smpstop.solver, smpstop.smdp):
         monkeypatch.setattr(module, "SolveReport", counting)
     assert run("solve", "--model", str(m2_file), "--grid", "64", "--out", str(tmp_path)) == 0
-    assert len(reports) == 2
+    assert len(reports) == 1
     assert json.loads((tmp_path / "solve_report.json").read_text())["cross_check_discrepancy"] == 0.0
+
+
+def _shift_base_cell(out):
+    out[-1, 0] += 1e-9
+
+
+def _fill_rest_column(out):
+    out[-1, -1] = 1e-9
+
+
+@pytest.mark.parametrize("fault", [None, _shift_base_cell, _fill_rest_column], ids=["real", "base-cell", "rest-column"])
+def test_solve_cross_check_sees_a_faulty_decision_process_sweep(m2_file, tmp_path, monkeypatch, fault):
+    # the one-sweep check compares T([v, 0]) with [G(v), 0], rest-state column included
+    if fault is not None:
+        t_sweep = smpstop.smdp._t_sweep
+
+        def faulty(*args):
+            out = t_sweep(*args)
+            fault(out)
+            return out
+
+        monkeypatch.setattr(smpstop.smdp, "_t_sweep", faulty)
+    assert run("solve", "--model", str(m2_file), "--grid", "64", "--out", str(tmp_path)) == 0
+    discrepancy = json.loads((tmp_path / "solve_report.json").read_text())["cross_check_discrepancy"]
+    if fault is None:
+        assert discrepancy == 0.0
+    else:
+        assert discrepancy > 1e-12
 
 
 @pytest.mark.parametrize(
@@ -426,19 +481,20 @@ def test_flag_whose_budget_underflows_exits_2(m2_file, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
-    [(("solve",), 3), (("simulate", "--paths", "10"), 0)],
+    "argv, code, checks",
+    [(("solve",), 3, 1), (("simulate", "--paths", "10"), 0, 0)],
     ids=["solve", "simulate-optimal"],
 )
-def test_tol_below_round_off_stops_after_steps_plus_two_sweeps(m2_file, tmp_path, monkeypatch, argv, code):
+def test_tol_below_round_off_stops_after_steps_plus_two_sweeps(m2_file, tmp_path, monkeypatch, argv, code, checks):
     # FFT round-off keeps each step near 1e-17, so no sweep reaches --tol 1e-320; the grid
-    # bounds the solve at 64 + 2 sweeps (plus the residual's), where log(1/tol) gave 50 910
+    # bounds the solve at 64 + 2 sweeps (plus the residual's), where log(1/tol) gave 50 910.
+    # solve's cross-check adds one sweep of G
     sweeps = []
     g_sweep = smpstop.solver._g_sweep
     monkeypatch.setattr(smpstop.solver, "_g_sweep", lambda *a: sweeps.append(1) or g_sweep(*a))
     out = tmp_path / "o"
     assert run(*argv, "--tol", "1e-320", "--model", str(m2_file), "--grid", "64", "--out", str(out)) == code
-    assert len(sweeps) == 64 + 2 + 1
+    assert len(sweeps) == 64 + 2 + 1 + checks
     if argv[0] == "solve":
         report = json.loads((out / "solve_report.json").read_text())
         assert report["iterations"] == 66 and not report["converged"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -13,6 +14,8 @@ from smpstop import (
     ContractionError,
     DeterministicMarkovPolicy,
     PointMass,
+    StateSpace,
+    StoppingRegion,
     TimeGrid,
     Uniform,
     ValueGrid,
@@ -24,8 +27,7 @@ from smpstop import (
     evaluate_policy,
     exactness_gap,
     iteration_budget,
-    read_region_csv,
-    read_value_csv,
+    operator_discrepancy,
     solve_smdp,
     solve_value,
     stopping_region,
@@ -35,7 +37,16 @@ from smpstop import (
 from smpstop.grid import discretize_kernel
 from smpstop.smdp import _fixed_point, _t_sweep
 from smpstop.solver import _g_sweep
-from conftest import make_random_model, reference_convolve_values, reference_recursion, single_state_model
+from conftest import (
+    make_random_model,
+    read_region_csv,
+    read_value_csv,
+    reference_convolve_values,
+    reference_recursion,
+    reference_write_region_csv,
+    reference_write_value_csv,
+    single_state_model,
+)
 
 EXP1 = 1.0 - math.exp(-1.0)
 
@@ -401,6 +412,18 @@ def test_cross_check_random_models():
         assert cross_check(model, TimeGrid(model.horizon, 64)) <= 1e-12
 
 
+def test_operator_discrepancy_is_zero_on_any_table(m1, m2):
+    # T([v, 0]) = [G(v), 0] holds for every table v, solved or not
+    rng = np.random.default_rng(12)
+    for model in (m1, m2, *(make_random_model(rng) for _ in range(4))):
+        grid = TimeGrid(model.horizon, 64)
+        kg = discretize_kernel(model.kernel, grid)
+        v, _ = solve_value(model, grid, kg=kg)
+        assert operator_discrepancy(v, model, kg) == 0.0
+        table = ValueGrid(grid, rng.uniform(0.0, 2.0, size=v.values.shape))
+        assert operator_discrepancy(table, model) == 0.0
+
+
 def test_grid_convergence_ratio(m1, m2):
     for model in (m1, m2):
         ends = {}
@@ -436,3 +459,66 @@ def test_region_csv_round_trip(tmp_path, m1):
     nodes, labels, member = read_region_csv(path)
     assert labels == m1.states.labels
     np.testing.assert_array_equal(member, region.member)
+
+
+# labels that a format template would misread if they were pasted into it
+TRICKY_LABELS = ("a", "100%", "{x}", "%s", "{}")
+
+
+def _csv_inputs(steps: int, horizon: float):
+    """A value table over every exponent range, with 0, 1e-300 and 1 in it, and a random region."""
+    rng = np.random.default_rng(steps)
+    grid = TimeGrid(horizon, steps)
+    shape = (steps + 1, len(TRICKY_LABELS))
+    values = rng.uniform(1.0, 10.0, size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    values.flat[:3] = (0.0, 1e-300, 1.0)
+    member = rng.random(shape) < 0.5
+    member[0] = False
+    region = StoppingRegion(grid=grid, member=member, boundary=(None,) * shape[1])
+    return ValueGrid(grid, values), region, StateSpace(TRICKY_LABELS)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 3e-7])
+@pytest.mark.parametrize("steps", [1, 2, 3, 1536])
+def test_csv_writers_match_the_cell_by_cell_writers(tmp_path, steps, horizon):
+    v, region, states = _csv_inputs(steps, horizon)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_value_csv(v, states, got)
+    reference_write_value_csv(v, states, want)
+    assert got.read_bytes() == want.read_bytes()
+    _, labels, values = read_value_csv(got)
+    assert labels == TRICKY_LABELS
+    np.testing.assert_allclose(values, v.values, rtol=1e-11, atol=0.0)
+    write_region_csv(region, states, got)
+    reference_write_region_csv(region, states, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def _peak_bytes(write, *args) -> int:
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_value_csv_is_written_row_by_row(tmp_path):
+    # The file is ASCII, so a string holding all of it takes at least its size in
+    # bytes. A peak below the file's size shows the rows were never held together.
+    grid = TimeGrid(1.0, 1536)
+    v = ValueGrid(grid, np.random.default_rng(5).uniform(0.0, 2.0, size=(grid.steps + 1, 8)))
+    states = StateSpace(tuple(f"s{i}" for i in range(8)))
+    path = tmp_path / "value.csv"
+    peak = _peak_bytes(write_value_csv, v, states, path)
+    size = path.stat().st_size
+    assert peak < size
+
+    def whole_file(v, states, path):
+        rows = [f"{s:.12g},{label},{value:.12g}\n" for s, row in zip(grid.nodes.tolist(), v.values.tolist())
+                for label, value in zip(states.labels, row)]
+        path.write_text("s,state,value\n" + "".join(rows))
+
+    # the bound tells the two apart: the one-string writer of the same bytes exceeds it
+    assert _peak_bytes(whole_file, v, states, tmp_path / "whole.csv") >= size
+    assert (tmp_path / "whole.csv").read_bytes() == path.read_bytes()
