@@ -153,7 +153,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     grid = _grid(cfg, model)
     kg = discretize_kernel(model.kernel, grid)
     v, report = solve_value(model, grid, tol=cfg.tol, kg=kg)
-    discrepancy = operator_discrepancy(v, model, kg)
+    discrepancy = operator_discrepancy(v, model, kg, report.next_values)
     region = stopping_region(v, model, eta=cfg.eta)
     _write(cfg, {
         "value.csv": lambda path: write_value_csv(v, model.states, path),

@@ -11,7 +11,17 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .model import SemiMarkovKernel
 
-__all__ = ["TimeGrid", "ValueGrid", "KernelGrid", "discretize_kernel", "convolve_values"]
+__all__ = ["TimeGrid", "ValueGrid", "KernelGrid", "ConvolutionWorkspace", "discretize_kernel", "convolve_values"]
+
+_FFT_TAKES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
+def _into(transform, a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """``transform(a, n)`` of ``numpy.fft``, written into ``out``; numpy 1.x takes no ``out`` there."""
+    if _FFT_TAKES_OUT:
+        return transform(a, n, out=out)
+    out[...] = transform(a, n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,7 @@ def discretize_kernel(kernel: "SemiMarkovKernel", grid: TimeGrid) -> KernelGrid:
     spectra = np.empty((n, n, size // 2 + 1), dtype=complex)
     for x in range(n):
         mass[x], jump = _source_row(kernel, nodes, x)
-        spectra[x] = np.fft.rfft(jump[:, 1:], size)
+        _into(np.fft.rfft, jump[:, 1:], size, spectra[x])
     np.clip(mass, 0.0, 1.0, out=mass)
     hold = 1.0 - mass
     survival = np.zeros((n, K + 1))
@@ -158,7 +168,36 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def convolve_values(kg: KernelGrid, v: np.ndarray) -> np.ndarray:
+class ConvolutionWorkspace:
+    """The buffers of ``convolve_values`` on one ``KernelGrid``, for reuse call after call.
+
+    They hold the value spectra, one source state's products, the per-source
+    sums and their inverse transforms: about 0.6 MB at 6 states and
+    K = 1536. Were they allocated afresh in every sweep, glibc would hand
+    that memory back to the kernel when it is freed, and the next sweep
+    would fault it in again, so a solve keeps one workspace for all of its
+    sweeps. ``rows`` pairs each source state's edge index with its slice of
+    the product buffer; a dense row is indexed by view, copying neither
+    spectra nor values.
+    """
+
+    def __init__(self, kg: KernelGrid):
+        n = kg.edges.shape[0]
+        self.size = _fft_length(2 * kg.grid.steps - 1)
+        half = self.size // 2 + 1
+        self.v_hat = np.empty((n, half), dtype=complex)
+        self.product = np.empty((n, half), dtype=complex)
+        self.acc = np.empty((n, half), dtype=complex)
+        self.conv = np.empty((n, self.size))
+        self.rows: list[tuple[slice | np.ndarray, np.ndarray]] = []
+        for x in range(n):
+            ys = np.flatnonzero(kg.edges[x])
+            self.rows.append((slice(None), self.product) if ys.size == n else (ys, self.product[: ys.size]))
+
+
+def convolve_values(
+    kg: KernelGrid, v: np.ndarray, out: np.ndarray | None = None, work: ConvolutionWorkspace | None = None
+) -> np.ndarray:
     """Grid convolution out[k, x] = sum_y sum_{j<=k} jump_mass[x, y, j] * v[k-j, y].
 
     Lag 0 carries no jump mass and v[K] never reaches nodes 0..K, so the
@@ -167,17 +206,20 @@ def convolve_values(kg: KernelGrid, v: np.ndarray) -> np.ndarray:
     wrap-around. Node 0 is an exact zero, and round-off below zero is
     clipped, since every term is nonnegative. The kernel's spectra come
     precomputed with ``kg``, so a call transforms only the n value columns
-    and inverts the n sums of their products.
+    and inverts the n sums of their products, all n in one call. The result
+    goes to ``out``, a new table by default. ``work``, a workspace of
+    ``kg``, lends the transform buffers; without one, the call makes its own.
     """
     K = kg.grid.steps
-    n = kg.mass.shape[0]
-    size = _fft_length(2 * K - 1)
-    v_hat = np.fft.rfft(v[:K].T, size)
-    out = np.zeros_like(v)
-    for x in range(n):
-        ys = np.flatnonzero(kg.edges[x])
-        if ys.size == n:
-            ys = slice(None)  # a dense row indexes by view, copying neither spectra nor values
-        k_hat = kg.spectra[x, ys] * v_hat[ys]
-        np.maximum(np.fft.irfft(k_hat.sum(axis=0), size)[:K], 0.0, out=out[1:, x])
+    if work is None:
+        work = ConvolutionWorkspace(kg)
+    if out is None:
+        out = np.empty_like(v)
+    _into(np.fft.rfft, v[:K].T, work.size, work.v_hat)
+    for x, (ys, product) in enumerate(work.rows):
+        np.multiply(kg.spectra[x, ys], work.v_hat[ys], out=product)
+        np.add.reduce(product, axis=0, out=work.acc[x])
+    _into(np.fft.irfft, work.acc, work.size, work.conv)
+    out[0] = 0.0
+    np.maximum(work.conv[:, :K].T, 0.0, out=out[1:])
     return out

@@ -8,18 +8,19 @@ minimal expected cost over all stop/continue strategies, the argmin yields
 an optimal decision table, and a fixed table can be evaluated the same way.
 
 This module also holds the one fixed-point engine that every solve runs
-(``_fixed_point``) and the one continuation term that every sweep uses
-(``_continuation``); the stopping recursion in ``solver`` builds on them.
+(``_fixed_point``), the one continuation term that every sweep uses
+(``_continuation``) and the workspace that a solve's sweeps share
+(``_Workspace``); the stopping recursion in ``solver`` builds on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .grid import KernelGrid, TimeGrid, ValueGrid, convolve_values, discretize_kernel
+from .grid import ConvolutionWorkspace, KernelGrid, TimeGrid, ValueGrid, convolve_values, discretize_kernel
 from .model import SMPModel, kernel_mass
 
 __all__ = [
@@ -145,13 +146,19 @@ class DeterministicMarkovPolicy:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Iteration diagnostics of a fixed-point solve."""
+    """Iteration diagnostics of a fixed-point solve.
+
+    ``next_values`` is the table that one more sweep makes of the solved
+    one, the sweep that measured ``residual``; callers that need it read it
+    here instead of sweeping again.
+    """
 
     iterations: int
     final_diff: float
     residual: float
     converged: bool
     sup_diffs: tuple[float, ...]
+    next_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def stop_tolerance(terminal: np.ndarray, eta: float) -> np.ndarray:
@@ -159,11 +166,30 @@ def stop_tolerance(terminal: np.ndarray, eta: float) -> np.ndarray:
     return eta * (1.0 + terminal)
 
 
+class _Workspace(ConvolutionWorkspace):
+    """What every sweep of one solve reuses: the convolution buffers and c(x) * survival.
+
+    ``running`` is computed once per solve; each sweep adds the convolution
+    to it (float addition commutes, so the bits are those of ``c * survival
+    + convolution``).
+    """
+
+    def __init__(self, model: SMPModel, kg: KernelGrid):
+        super().__init__(kg)
+        self.running = model.costs.rate[None, :] * kg.survival.T
+
+
+def _sup_diff(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
+    """max |a - b|, computed in ``scratch``."""
+    np.subtract(a, b, out=scratch)
+    return float(np.abs(scratch, out=scratch).max())
+
+
 def _fixed_point(
     model: SMPModel,
     grid: TimeGrid,
     width: int,
-    sweep: Callable[[KernelGrid, np.ndarray], np.ndarray],
+    sweep: Callable[[KernelGrid, np.ndarray, np.ndarray, _Workspace], np.ndarray],
     tol: float,
     kg: KernelGrid | None = None,
 ) -> tuple[ValueGrid, SolveReport]:
@@ -176,9 +202,15 @@ def _fixed_point(
     early once the sup-norm successive difference drops to ``tol``; a
     ``tol`` below round-off is flagged as not converged, and the last
     iterate is still returned. The fixed-point residual is re-verified with
-    one extra sweep. A ``kg`` discretized from ``model.kernel`` on ``grid``
-    is used as given, so solves on one grid can share one discretization;
-    one from another kernel or grid is rejected.
+    one extra sweep, whose table the report keeps as ``next_values``. A
+    ``kg`` discretized from ``model.kernel`` on ``grid`` is used as given,
+    so solves on one grid can share one discretization; one from another
+    kernel or grid is rejected.
+
+    ``sweep(kg, values, out, ws)`` writes the sweep of ``values`` into
+    ``out`` and returns it; ``ws`` is the solve's workspace. The loop holds
+    two tables and swaps them, so a sweep never writes the table it reads
+    and no sweep allocates one.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -186,45 +218,57 @@ def _fixed_point(
         kg = discretize_kernel(model.kernel, grid)
     elif kg.grid != grid or kg.kernel is not model.kernel:
         raise ValueError("kg was discretized from another kernel or grid")
+    ws = _Workspace(model, kg)
     values = np.zeros((grid.steps + 1, width))
+    spare = np.empty_like(values)
+    scratch = np.empty_like(values)
     diffs: list[float] = []
     for _ in range(grid.steps + 2):
-        nxt = sweep(kg, values)
-        diffs.append(float(np.max(np.abs(nxt - values))))
-        values = nxt
+        nxt = sweep(kg, values, spare, ws)
+        diffs.append(_sup_diff(nxt, values, scratch))
+        values, spare = nxt, values
         if diffs[-1] <= tol:
             break
-    residual = float(np.max(np.abs(sweep(kg, values) - values)))
+    swept = sweep(kg, values, spare, ws)
     report = SolveReport(
         iterations=len(diffs),
         final_diff=diffs[-1],
-        residual=residual,
+        residual=_sup_diff(swept, values, scratch),
         converged=diffs[-1] <= tol,
         sup_diffs=tuple(diffs),
+        next_values=swept,
     )
     return ValueGrid(grid=grid, values=values), report
 
 
-def _continuation(model: SMPModel, kg: KernelGrid, values: np.ndarray) -> np.ndarray:
-    """Continue-action values on base states for all nodes: c * survival + convolution.
+def _continuation(model: SMPModel, kg: KernelGrid, values: np.ndarray, out: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Continue-action values on base states for all nodes, c * survival + convolution, into ``out``.
 
     Columns of ``values`` past the base states (the rest state) are ignored.
     """
-    v_base = np.ascontiguousarray(values[:, : len(model.states)])
-    return model.costs.rate[None, :] * kg.survival.T + convolve_values(kg, v_base)
+    conv = convolve_values(kg, values[:, : len(model.states)], out, ws)
+    return np.add(ws.running, conv, out=out)
 
 
-def _t_sweep(sm: SMDPModel, kg: KernelGrid, values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    out[:, : sm.n_base] = np.minimum(_continuation(sm.base, kg, values), sm.base.costs.terminal[None, :])
+def _t_sweep(
+    sm: SMDPModel, kg: KernelGrid, values: np.ndarray, out: np.ndarray | None = None, ws: _Workspace | None = None
+) -> np.ndarray:
+    """One sweep of the minimum-cost operator, into ``out`` (a new table by default)."""
+    if out is None:
+        out = np.empty_like(values)
+    base = out[:, : sm.n_base]
+    cont = _continuation(sm.base, kg, values, base, ws or _Workspace(sm.base, kg))
+    np.minimum(cont, sm.base.costs.terminal[None, :], out=base)
     out[:, sm.n_base] = 0.0
     return out
 
 
-def _policy_sweep(sm: SMDPModel, kg: KernelGrid, table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    stop = table[:, : sm.n_base] == STOP
-    out[:, : sm.n_base] = np.where(stop, sm.base.costs.terminal[None, :], _continuation(sm.base, kg, values))
+def _policy_sweep(
+    sm: SMDPModel, kg: KernelGrid, stop: np.ndarray, values: np.ndarray, out: np.ndarray, ws: _Workspace
+) -> np.ndarray:
+    """One sweep of a fixed decision table, whose base-state stop cells are ``stop``, into ``out``."""
+    base = _continuation(sm.base, kg, values, out[:, : sm.n_base], ws)
+    np.copyto(base, sm.base.costs.terminal, where=stop)
     out[:, sm.n_base] = 0.0
     return out
 
@@ -277,7 +321,7 @@ def solve_smdp(
     optional shared ``kg`` are those of ``_fixed_point``. The rest-state
     column stays zero.
     """
-    return _fixed_point(sm.base, grid, sm.n_states, lambda kg, v: _t_sweep(sm, kg, v), tol, kg)
+    return _fixed_point(sm.base, grid, sm.n_states, lambda kg, v, out, ws: _t_sweep(sm, kg, v, out, ws), tol, kg)
 
 
 def extract_optimal_policy(sm: SMDPModel, u: ValueGrid, eta: float = 1e-6) -> DeterministicMarkovPolicy:
@@ -301,4 +345,7 @@ def evaluate_policy(
     sm: SMDPModel, policy: DeterministicMarkovPolicy, tol: float = 1e-9
 ) -> tuple[ValueGrid, SolveReport]:
     """Expected cost of following a fixed decision table, on the policy's grid."""
-    return _fixed_point(sm.base, policy.grid, sm.n_states, lambda kg, v: _policy_sweep(sm, kg, policy.table, v), tol)
+    stop = policy.table[:, : sm.n_base] == STOP
+    return _fixed_point(
+        sm.base, policy.grid, sm.n_states, lambda kg, v, out, ws: _policy_sweep(sm, kg, stop, v, out, ws), tol
+    )

@@ -25,6 +25,7 @@ from .smdp import (
     SolveReport,
     _continuation,
     _fixed_point,
+    _Workspace,
     apply_T,
     build_smdp,
     solve_smdp,
@@ -92,8 +93,14 @@ class EpsRegionResult:
     budget: EpsBudget
 
 
-def _g_sweep(model: SMPModel, kg: KernelGrid, values: np.ndarray) -> np.ndarray:
-    return np.minimum(_continuation(model, kg, values), model.costs.terminal[None, :])
+def _g_sweep(
+    model: SMPModel, kg: KernelGrid, values: np.ndarray, out: np.ndarray | None = None, ws: _Workspace | None = None
+) -> np.ndarray:
+    """One sweep of the recursion, into ``out`` (a new table by default) with a solve's workspace ``ws``."""
+    if out is None:
+        out = np.empty_like(values)
+    cont = _continuation(model, kg, values, out, ws or _Workspace(model, kg))
+    return np.minimum(cont, model.costs.terminal[None, :], out=out)
 
 
 def apply_G(v: ValueGrid, model: SMPModel, kg: KernelGrid | None = None) -> ValueGrid:
@@ -115,7 +122,7 @@ def solve_value(
     re-verifies the fixed-point residual with one extra sweep. A ``kg``
     discretized on ``grid`` is used instead of discretizing the kernel again.
     """
-    return _fixed_point(model, grid, len(model.states), lambda kg, v: _g_sweep(model, kg, v), tol, kg)
+    return _fixed_point(model, grid, len(model.states), lambda kg, v, out, ws: _g_sweep(model, kg, v, out, ws), tol, kg)
 
 
 def stopping_region(v: ValueGrid, model: SMPModel, eta: float = 1e-6) -> StoppingRegion:
@@ -173,11 +180,13 @@ def eps_region(model: SMPModel, grid: TimeGrid, eps: float, eta: float = 1e-6) -
     """
     budget = iteration_budget(model, eps)
     kg = discretize_kernel(model.kernel, grid)
+    ws = _Workspace(model, kg)
     values = np.zeros((grid.steps + 1, len(model.states)))
+    spare = np.empty_like(values)
     for _ in range(budget.n_iter):
-        values = _g_sweep(model, kg, values)
+        values, spare = _g_sweep(model, kg, values, spare, ws), values
     iterate = ValueGrid(grid=grid, values=values)
-    refined = ValueGrid(grid=grid, values=_g_sweep(model, kg, values))
+    refined = ValueGrid(grid=grid, values=_g_sweep(model, kg, values, spare, ws))
     region = stopping_region(refined, model, eta)
     return EpsRegionResult(region=region, iterate=iterate, refined=refined, budget=budget)
 
@@ -201,7 +210,9 @@ def route_discrepancy(v: ValueGrid, u: ValueGrid) -> float:
     return float(np.max(np.abs(u.values[:, : v.values.shape[1]] - v.values)))
 
 
-def operator_discrepancy(v: ValueGrid, model: SMPModel, kg: KernelGrid | None = None) -> float:
+def operator_discrepancy(
+    v: ValueGrid, model: SMPModel, kg: KernelGrid | None = None, gv: np.ndarray | None = None
+) -> float:
     """Sup distance between the decision process's operator T at [v, 0] and [G(v), 0].
 
     ``[v, 0]`` is the recursion's table v with a zero rest-state column.
@@ -209,13 +220,17 @@ def operator_discrepancy(v: ValueGrid, model: SMPModel, kg: KernelGrid | None = 
     as v has under G, so a solved v solves the decision process to the same
     accuracy: the equivalence of the two routes, checked at the solution
     with one sweep of each operator. The comparison covers the rest-state
-    column of T([v, 0]), which must be 0.
+    column of T([v, 0]), which must be 0. ``gv``, the table G(v) when it is
+    already at hand (``solve_value``'s ``report.next_values``), saves the
+    sweep of G.
     """
     if kg is None:
         kg = discretize_kernel(model.kernel, v.grid)
+    if gv is None:
+        gv = apply_G(v, model, kg).values
     rest = np.zeros((v.grid.steps + 1, 1))
     t = apply_T(build_smdp(model), ValueGrid(grid=v.grid, values=np.hstack((v.values, rest))), kg).values
-    g = np.hstack((apply_G(v, model, kg).values, rest))
+    g = np.hstack((gv, rest))
     return float(np.max(np.abs(t - g)))
 
 

@@ -72,8 +72,12 @@ def reference_fft_convolve_values(kg, v: np.ndarray) -> np.ndarray:
 @contextlib.contextmanager
 def reference_recursion():
     """Run every sweep on ``reference_convolve_values``: they share ``smdp._continuation``."""
+
+    def reference(kg, v, out=None, work=None):
+        return reference_convolve_values(kg, v)  # a new table, which _continuation adds into the sweep's own
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(smpstop.smdp, "convolve_values", reference_convolve_values)
+        patch.setattr(smpstop.smdp, "convolve_values", reference)
         yield
 
 
@@ -229,6 +233,39 @@ def make_random_model(rng: np.random.Generator, n_states: int | None = None, hor
         costs=CostModel(rng.uniform(0.0, 3.0, size=n), rng.uniform(0.05, 2.0, size=n)),
         horizon=horizon,
     )
+
+
+def sparse_free_running_model() -> SMPModel:
+    """Three states with sparse edges, atoms on and off the grid, and no running cost."""
+    return SMPModel(
+        states=StateSpace(("a", "b", "c")),
+        kernel=SemiMarkovKernel(
+            np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]),
+            (
+                (None, PointMass(0.25), None),
+                (Uniform(0.1, 0.4), None, PointMass(0.3)),
+                (None, None, Exponential(5.0)),
+            ),
+        ),
+        costs=CostModel(np.zeros(3), np.array([0.4, 1.0, 0.2])),
+        horizon=1.0,
+    )
+
+
+def sparse_random_model(rng: np.random.Generator, n_states: int) -> SMPModel:
+    """A random model with each row's beyond-horizon edge kept and about half of its other edges dropped."""
+    model = make_random_model(rng, n_states)
+    P = model.kernel.transition.copy()
+    sojourn = [list(row) for row in model.kernel.sojourn]
+    for x in range(n_states):
+        for y in range(n_states):
+            d = sojourn[x][y]
+            beyond = isinstance(d, PointMass) and d.d > model.horizon
+            if d is not None and not beyond and rng.random() < 0.5:
+                P[x, y] = 0.0
+                sojourn[x][y] = None
+        P[x] /= P[x].sum()
+    return SMPModel(model.states, SemiMarkovKernel(P, tuple(map(tuple, sojourn))), model.costs, model.horizon)
 
 
 def make_random_policy(rng: np.random.Generator, n_base: int, grid) -> DeterministicMarkovPolicy:

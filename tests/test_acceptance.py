@@ -56,8 +56,8 @@ def _iterate(model, grid, cap):
     """The fixed-point loop to a 1e-9 step on a ``_g_sweep`` that records per-sweep diagnostics."""
     seen = SimpleNamespace(monotone=True, bounded=True)
 
-    def sweep(kg, values):
-        nxt = _g_sweep(model, kg, values)
+    def sweep(kg, values, out, ws):
+        nxt = _g_sweep(model, kg, values, out, ws)
         seen.monotone = seen.monotone and bool(np.all(nxt >= values))
         seen.bounded = seen.bounded and bool(np.all(nxt >= 0.0)) and bool(np.all(nxt <= cap))
         return nxt

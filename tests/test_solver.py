@@ -20,8 +20,10 @@ from smpstop import (
     Uniform,
     ValueGrid,
     apply_G,
+    apply_T,
     build_smdp,
     contraction_factor,
+    convolve_values,
     cross_check,
     eps_region,
     evaluate_policy,
@@ -39,6 +41,7 @@ from smpstop.smdp import _fixed_point, _t_sweep
 from smpstop.solver import _g_sweep
 from conftest import (
     make_random_model,
+    make_random_policy,
     read_region_csv,
     read_value_csv,
     reference_convolve_values,
@@ -46,6 +49,8 @@ from conftest import (
     reference_write_region_csv,
     reference_write_value_csv,
     single_state_model,
+    sparse_free_running_model,
+    sparse_random_model,
 )
 
 EXP1 = 1.0 - math.exp(-1.0)
@@ -150,7 +155,7 @@ def unsettled_convolution(monkeypatch):
     """Make every sweep add 1e-3 to the convolution on odd calls, so no solve ever settles."""
     calls = []
 
-    def convolve(kg, v):
+    def convolve(kg, v, out=None, work=None):
         calls.append(1)
         return reference_convolve_values(kg, v) + 1e-3 * (len(calls) % 2)
 
@@ -184,7 +189,7 @@ def test_budget_is_steps_plus_two(dist, beta, steps):
     # a sweep that never settles runs the whole budget, whatever the jump mass beta
     model = single_state_model(dist=dist)
     assert contraction_factor(model) == beta
-    _, report = _fixed_point(model, TimeGrid(1.0, steps), 1, lambda kg, v: v + 1.0, 1e-300)
+    _, report = _fixed_point(model, TimeGrid(1.0, steps), 1, lambda kg, v, out, ws: v + 1.0, 1e-300)
     assert not report.converged
     assert report.iterations == steps + 2
 
@@ -211,7 +216,7 @@ def test_sweep_m_fixes_node_m_minus_1(m2, route, seed):
         assert iterates[m][:m].tobytes() == final[:m].tobytes(), m
     assert iterates[grid.steps + 2].tobytes() == final.tobytes()
     # the production FFT sweep reaches the same table up to round-off
-    v, report = _fixed_point(model, grid, width, lambda kg, v: sweep(v), 1e-300)
+    v, report = _fixed_point(model, grid, width, lambda kg, v, out, ws: sweep(v), 1e-300)
     assert report.iterations <= grid.steps + 2
     assert report.residual <= 1e-15
     assert np.max(np.abs(v.values - final)) <= 1e-13
@@ -229,6 +234,75 @@ def test_unit_jump_mass_converges_after_steps_plus_one_sweeps():
     assert report.residual <= 1e-14
     # each step's trapezoid survival is dt / 2, so the cost of never stopping is T / 2
     assert v.values[-1, 0] == pytest.approx(0.5, abs=1e-12)
+
+
+def plain_fixed_point(step, width: int, grid: TimeGrid, tol: float):
+    """The fixed-point loop written out on a one-sweep function that returns a new table.
+
+    Returns the last iterate, the sup-norm steps, and one more sweep of the iterate.
+    """
+    values = np.zeros((grid.steps + 1, width))
+    diffs = []
+    for _ in range(grid.steps + 2):
+        nxt = step(values)
+        diffs.append(float(np.max(np.abs(nxt - values))))
+        values = nxt
+        if diffs[-1] <= tol:
+            break
+    return values, diffs, step(values)
+
+
+ENGINE_MODELS = {
+    "dense": lambda: make_random_model(np.random.default_rng(41), 3),
+    "sparse": lambda: sparse_random_model(np.random.default_rng(42), 4),
+    "free-running": sparse_free_running_model,
+}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 64])
+@pytest.mark.parametrize("name", list(ENGINE_MODELS))
+def test_engine_changes_no_bits(name, steps):
+    # The solves and eps_region reuse one workspace and swap two tables. A plain
+    # loop of the public one-sweep operators, each of which returns a new table,
+    # must give the same bytes; a sweep that wrote into the table it reads would not.
+    model = ENGINE_MODELS[name]()
+    n = len(model.states)
+    grid = TimeGrid(model.horizon, steps)
+    kg = discretize_kernel(model.kernel, grid)
+    sm = build_smdp(model)
+    policy = make_random_policy(np.random.default_rng(steps), n, grid)
+    stop = policy.table[:, :n] == STOP
+
+    def g_step(v):
+        return apply_G(ValueGrid(grid, v), model, kg).values
+
+    def t_step(v):
+        return apply_T(sm, ValueGrid(grid, v), kg).values
+
+    def policy_step(v):
+        out = np.zeros_like(v)
+        continuation = model.costs.rate[None, :] * kg.survival.T + convolve_values(kg, v[:, :n])
+        out[:, :n] = np.where(stop, model.costs.terminal[None, :], continuation)
+        return out
+
+    tol = 1e-12
+    for (table, report), step, width in (
+        (solve_value(model, grid, tol), g_step, n),
+        (solve_smdp(sm, grid, tol), t_step, n + 1),
+        (evaluate_policy(sm, policy, tol), policy_step, n + 1),
+    ):
+        values, diffs, swept = plain_fixed_point(step, width, grid, tol)
+        assert table.values.tobytes() == values.tobytes()
+        assert report.sup_diffs == tuple(diffs)
+        assert report.next_values.tobytes() == swept.tobytes()
+    if contraction_factor(model) == 1.0:
+        return  # the free-running model's jumps all land inside the horizon: no eps budget
+    result = eps_region(model, grid, 1e-3)
+    values = np.zeros((grid.steps + 1, n))
+    for _ in range(result.budget.n_iter):
+        values = g_step(values)
+    assert result.iterate.values.tobytes() == values.tobytes()
+    assert result.refined.values.tobytes() == g_step(values).tobytes()
 
 
 # ---------------------------------------------------------------------------
