@@ -1,11 +1,12 @@
 """Command line front end: validate models, solve stopping problems, simulate rules.
 
-Exit codes: 0 success, 2 schema or validation failure (also a kernel whose
-simulated jumps pile up inside the horizon, an --eps too small for any
-iteration budget, and an --out that cannot be written), 3 fixed point not
-reached to --tol within the grid's steps + 2 sweeps, 4 contraction
-hypothesis violated, 5 unknown simulation rule. Commands raise
-``CommandError``; ``main`` alone prints its lines and returns its code.
+Exit codes: 0 success, 2 schema or validation failure (also a simulated
+path whose jumps pile up inside the horizon before the rule stops it, an
+--eps too small for any iteration budget, and an --out that cannot be
+written), 3 fixed point not reached to --tol within the grid's steps + 2
+sweeps, 4 contraction hypothesis violated, 5 unknown simulation rule.
+Commands raise ``CommandError``; ``main`` alone prints its lines and
+returns its code.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ seed and the path index, so estimates are bit-reproducible for a fixed
 thousands of paths together on a numpy copy of those substreams; the
 one-path functions (``path_stream``, ``sample_trajectory``,
 ``execute_rule``, ``trajectory_cost``) are the reference it reproduces
-bit for bit.
+bit for bit. The cost of a stopping time depends on a path only up to the
+stop, so a simulated path ends at its stop: at the first jump where the
+rule fires or the first jump at or past the horizon, whichever comes
+first.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ __all__ = [
     "policy_from_rule",
 ]
 
-# Jumps one path may take before the horizon. Regular kernels average a few
+# Jumps one path may take before its stop. Regular kernels average a few
 # jumps per horizon; a kernel whose jumps pile up (a point mass at 1e-300,
 # say) would otherwise never reach the horizon.
 MAX_JUMPS = 100_000
@@ -58,12 +61,13 @@ _LOCKSTEP_JUMPS = 256
 
 
 class JumpLimitError(RuntimeError):
-    """A sampled path took MAX_JUMPS jumps without reaching the horizon."""
+    """A sampled path took MAX_JUMPS jumps without reaching its stop or the horizon."""
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A sampled jump sequence, generated up to the first jump at or past the horizon.
+    """A sampled jump sequence, generated up to the first jump at or past the horizon
+    or, when sampled under a rule, up to the jump where the rule stops.
 
     states      visited states x_0..x_n
     sojourns    holding times t_1..t_n
@@ -180,10 +184,15 @@ def path_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=index << 128))
 
 
-def sample_trajectory(model: SMPModel, x0: int, rng: np.random.Generator) -> Trajectory:
+def sample_trajectory(
+    model: SMPModel, x0: int, rng: np.random.Generator, rule: StoppingRule | None = None
+) -> Trajectory:
     """Alternate next-state and sojourn draws until a jump lands at or past the horizon.
 
-    Raises JumpLimitError after MAX_JUMPS jumps short of the horizon.
+    Given a rule, generation also ends at the first jump short of the
+    horizon where the rule fires, the stop ``execute_rule`` finds on the
+    full trajectory; the draws up to there are the same. Raises
+    JumpLimitError after MAX_JUMPS jumps that reach neither.
     """
     n = len(model.states)
     if not 0 <= x0 < n:
@@ -198,6 +207,8 @@ def sample_trajectory(model: SMPModel, x0: int, rng: np.random.Generator) -> Tra
     x = int(x0)
     elapsed = 0.0
     while elapsed < horizon:
+        if rule is not None and _fires(rule, horizon - elapsed, states, sojourns, len(sojourns)):
+            break
         if len(sojourns) == MAX_JUMPS:
             raise JumpLimitError(
                 f"a path from state {x0} took {MAX_JUMPS} jumps and reached time {elapsed:.6g} "
@@ -217,20 +228,24 @@ def execute_rule(rule: StoppingRule, traj: Trajectory, horizon: float) -> StopOu
     """First jump index where the rule fires, cut off at the first jump past the horizon.
 
     Jumps at or past the horizon force a stop with no terminal cost, so the
-    returned index is always finite.
+    returned index is always finite on a trajectory generated to the
+    horizon or under the same rule.
     """
-    history_based = isinstance(rule, HistoryRule)
-    for n, (s_n, x_n) in enumerate(zip(traj.jump_times, traj.states)):
+    for n, s_n in enumerate(traj.jump_times):
         if s_n >= horizon:
             return StopOutcome(index=n, stopped_before_horizon=False)
-        remaining = horizon - s_n
-        if history_based:
-            fired = rule.predicate(remaining, traj.states[: n + 1], traj.sojourns[:n])
-        else:
-            fired = rule.stops(remaining, x_n)
-        if fired:
+        if _fires(rule, horizon - s_n, traj.states, traj.sojourns, n):
             return StopOutcome(index=n, stopped_before_horizon=True)
-    raise RuntimeError("trajectory ends before the horizon; generate it to the horizon first")
+    raise RuntimeError(
+        "trajectory ends before the horizon and before the rule stops; generate it to the horizon or under this rule"
+    )
+
+
+def _fires(rule: StoppingRule, remaining: float, states, sojourns, n: int) -> bool:
+    """Whether the rule stops at jump n with ``remaining`` horizon left, after states[:n + 1] and sojourns[:n]."""
+    if isinstance(rule, HistoryRule):
+        return rule.predicate(remaining, tuple(states[: n + 1]), tuple(sojourns[:n]))
+    return rule.stops(remaining, states[n])
 
 
 def trajectory_cost(traj: Trajectory, outcome: StopOutcome, model: SMPModel) -> float:
@@ -368,11 +383,15 @@ class _Streams:
 
 
 def _groups(keys: np.ndarray):
-    """(key, positions) for each distinct key."""
-    order = np.argsort(keys, kind="stable")
-    cuts = np.flatnonzero(np.diff(keys[order])) + 1
-    for positions in np.split(order, cuts):
-        yield int(keys[positions[0]]), positions
+    """(key, positions) for each distinct non-negative key, keys and positions ascending.
+
+    The sort is stable, so each key's positions stay in ascending order.
+    On keys cast to 8 or 16 bits numpy sorts them by radix, in linear time.
+    """
+    counts = np.bincount(keys)
+    present = np.flatnonzero(counts)
+    order = np.argsort(keys.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
+    return zip(present.tolist(), np.split(order, np.cumsum(counts[present])[:-1]))
 
 
 def _draw_sojourns(laws: list, edge: np.ndarray, streams: _Streams) -> np.ndarray:
@@ -392,14 +411,17 @@ def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: i
 
     All paths of the chunk jump together, each on its own stream and in
     the draw order of ``sample_trajectory``: next state, sojourn, a redraw
-    while the sojourn is 0. Paths keep jumping after the rule fires, as
-    they do there, up to the horizon. Running costs are summed in jump
-    order as in ``trajectory_cost``, each sojourn cut at the horizon. The
-    cut changes only the sojourn that crosses it: if fl(S + t) < T, then
-    S + t < T, and fl(T - S) >= t as rounding is monotone. So one sum
-    serves both a stop by the rule and a stop at the horizon. A
-    ``HistoryRule`` reads whole histories, so its paths all take the
-    one-path route.
+    while the sojourn is 0. At each jump a path first meets the horizon,
+    then the rule, as in ``execute_rule``, and a path that either stops
+    leaves the chunk before the next draws: what it would draw later moves
+    neither its cost nor any other path's stream. Running costs are summed
+    in jump order as in ``trajectory_cost``, each sojourn cut at the
+    horizon. The cut changes only the sojourn that crosses it: if
+    fl(S + t) < T, then S + t < T, and fl(T - S) >= t as rounding is
+    monotone. So one sum serves both a stop by the rule and a stop at the
+    horizon. Paths still running after ``lockstep`` jumps take the one-path
+    route; a ``HistoryRule`` reads whole histories, so its ``lockstep`` is 0
+    and all its paths do.
     """
     costs, index, before = out
     n = len(model.states)
@@ -413,26 +435,27 @@ def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: i
     x = np.full(count, x0)
     elapsed = np.zeros(count)
     running = np.zeros(count)
-    pending = np.ones(count, dtype=bool)  # paths the rule has not stopped yet
     jumps = 0
     while True:
-        done = ~(elapsed < horizon)
-        if done.any():
-            ended = done & pending
-            costs[path[ended]] = running[ended]
-            index[path[ended]] = jumps
-            before[path[ended]] = False
-            live = ~done
-            path, x, elapsed, running, pending = (a[live] for a in (path, x, elapsed, running, pending))
-            streams.keep(live)
-        if path.size == 0 or jumps == lockstep:
+        live = elapsed < horizon
+        if not live.all():
+            ended = path[~live]
+            costs[ended] = running[~live]
+            index[ended] = jumps
+            before[ended] = False
+        if jumps == lockstep or not live.any():
             break
-        rows = np.flatnonzero(pending)
+        rows = np.flatnonzero(live)
         fired = rows[rule.stops_many(horizon - elapsed[rows], x[rows])]
         costs[path[fired]] = running[fired] + terminal[x[fired]]
         index[path[fired]] = jumps
         before[path[fired]] = True
-        pending[fired] = False
+        live[fired] = False
+        if not live.any():
+            break
+        if not live.all():
+            path, x, elapsed, running = (a[live] for a in (path, x, elapsed, running))
+            streams.keep(live)
         every = np.arange(path.size)
         y = np.minimum((cumulative[x] <= streams.draw(every)[:, None]).sum(axis=1), n - 1)
         t = _draw_sojourns(laws, x * n + y, streams)
@@ -440,9 +463,10 @@ def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: i
         elapsed = elapsed + t
         x = y
         jumps += 1
-    for i in path.tolist():
-        traj = sample_trajectory(model, x0, path_stream(seed, i))
-        outcome = execute_rule(rule, traj, horizon)
+    for i in path[live].tolist():
+        traj = sample_trajectory(model, x0, path_stream(seed, i), rule)
+        # sampled under the rule, the trajectory ends at its stop, which execute_rule would find again
+        outcome = StopOutcome(index=len(traj.sojourns), stopped_before_horizon=traj.jump_times[-1] < horizon)
         costs[i] = trajectory_cost(traj, outcome, model)
         index[i], before[i] = outcome.index, outcome.stopped_before_horizon
 

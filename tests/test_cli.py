@@ -395,6 +395,20 @@ def test_simulate_refuses_jumps_piling_up(tmp_path):
     assert not (tmp_path / "o" / "mc_report.json").exists()
 
 
+def test_simulate_stops_before_jumps_pile_up(tmp_path):
+    # --rule always stops every path at jump 0, before any sojourn is drawn
+    def atoms(data):
+        data["sojourn"] = [[None, {"type": "point", "d": 1e-300}], [{"type": "point", "d": 1e-300}, None]]
+
+    path = _write_m2_with(tmp_path, atoms)
+    assert run("simulate", "--model", str(path), "--rule", "always", "--paths", "10", "--out", str(tmp_path / "o")) == 0
+    report = json.loads((tmp_path / "o" / "mc_report.json").read_text())
+    assert report["x0"] == "a"
+    assert report["mean"] == two_state_model().costs.terminal[0]
+    assert report["std_err"] == 0.0
+    assert report["stop_index_histogram"] == {"0": 10}
+
+
 def test_simulate_byte_identical_reruns(m2_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     args = ["simulate", "--model", str(m2_file), "--rule", "optimal", "--grid", "256",

@@ -224,6 +224,7 @@ def piling_up_model() -> SMPModel:
 
 
 def test_jump_limit_error_matches_the_one_path_route(monkeypatch):
+    # a rule that never stops leaves only the horizon, which these paths do not reach
     model = piling_up_model()
     monkeypatch.setattr(sim, "MAX_JUMPS", 40)
     with pytest.raises(sim.JumpLimitError) as want:
@@ -231,8 +232,67 @@ def test_jump_limit_error_matches_the_one_path_route(monkeypatch):
     for lockstep in (10, 40, 256):
         monkeypatch.setattr(sim, "_LOCKSTEP_JUMPS", lockstep)
         with pytest.raises(sim.JumpLimitError) as got:
-            sim.estimate_value(model, AlwaysStop(), "b", 50, 0)
+            sim.estimate_value(model, NeverStop(), "b", 50, 0)
         assert str(got.value) == str(want.value)
+
+
+class StopIn(StoppingRule):
+    """Stop on entering one state."""
+
+    def __init__(self, state: int):
+        self.state = state
+
+    def stops(self, remaining, state):
+        return remaining > 0.0 and state == self.state
+
+    def stops_many(self, remaining, states):
+        return (remaining > 0.0) & (states == self.state)
+
+
+@pytest.mark.parametrize("lockstep", [0, 1, 256])
+def test_a_stopped_path_is_not_simulated_further(lockstep, monkeypatch):
+    # the jumps pile up after the stop, so a path simulated past it would reach MAX_JUMPS
+    model = piling_up_model()
+    monkeypatch.setattr(sim, "_LOCKSTEP_JUMPS", lockstep)
+    n_paths = 300
+    for x0 in ("a", "b"):
+        report = sim.estimate_value(model, AlwaysStop(), x0, n_paths, 2)
+        assert report.mean == model.costs.terminal[model.states.index(x0)]
+        assert report.std_err == 0.0
+        assert report.stop_histogram == {0: n_paths}
+        assert report.stopped_before_frac == 1.0
+    for rule in (StopIn(0), HistoryRule(lambda r, xs, ts: xs[-1] == 0)):
+        report = sim.estimate_value(model, rule, "b", n_paths, 2)
+        assert report.mean == model.costs.terminal[0]  # g(a); a sojourn of 1e-300 adds nothing
+        assert report.stop_histogram == {1: n_paths}
+        assert report.stopped_before_frac == 1.0
+
+
+def test_the_engine_makes_only_the_blocks_its_paths_use(monkeypatch):
+    # a path under a rule uses the Philox blocks of its trajectory sampled under that rule, redraws included
+    model = edge_case_model()
+    rule = rules_for(model)["region"]
+    n_paths, seed = 301, 11
+    made = []
+    philox = sim._philox
+    monkeypatch.setattr(sim, "_philox", lambda key, ctr: made.append(ctr.shape[1]) or philox(key, ctr))
+    report = sim.estimate_value(model, rule, "q", n_paths, seed)
+    assert 0.0 < report.stopped_before_frac < 1.0
+    used = full = redrawn = 0
+    for i in range(n_paths):
+        rng = path_stream(seed, i)
+        traj = sample_trajectory(model, 1, rng, rule)
+        state = rng.bit_generator.state
+        used += int(state["state"]["counter"][0])
+        redrawn += 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"]) > 2 * len(traj.sojourns)
+        rng = path_stream(seed, i)
+        sample_trajectory(model, 1, rng)
+        full += int(rng.bit_generator.state["state"]["counter"][0])
+    assert redrawn > 0
+    assert sum(made) == used < full
+    made.clear()
+    sim.estimate_value(model, AlwaysStop(), "q", n_paths, seed)
+    assert made == []
 
 
 def test_piling_up_costs_the_lock_step_budget_then_one_path(monkeypatch):

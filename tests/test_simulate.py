@@ -139,6 +139,23 @@ def test_history_rule_is_executable(m1):
     assert outcome == StopOutcome(index=2, stopped_before_horizon=True)
 
 
+def test_a_trajectory_sampled_under_a_rule_ends_at_its_stop(m2_solved):
+    # the cut trajectory is the full one up to the stop, with the same outcome and cost
+    model, _, _, region = m2_solved
+    rules = (RegionRule(region), NeverStop(), AlwaysStop(), HistoryRule(lambda r, xs, ts: sum(ts) > 0.3))
+    for rule in rules:
+        for i in range(50):
+            full = sample_trajectory(model, 1, path_stream(4, i))
+            cut = sample_trajectory(model, 1, path_stream(4, i), rule)
+            outcome = execute_rule(rule, full, model.horizon)
+            assert execute_rule(rule, cut, model.horizon) == outcome
+            assert len(cut.sojourns) == outcome.index
+            assert (cut.jump_times[-1] < model.horizon) == outcome.stopped_before_horizon
+            assert cut.jump_times == full.jump_times[: outcome.index + 1]
+            assert cut.states == full.states[: outcome.index + 1]
+            assert trajectory_cost(cut, outcome, model) == trajectory_cost(full, outcome, model)
+
+
 # ---------------------------------------------------------------------------
 # realized cost
 
