@@ -6,12 +6,13 @@ path whose jumps pile up inside the horizon before the rule stops it, an
 written), 3 fixed point not reached to --tol within the grid's steps + 2
 sweeps, 4 contraction hypothesis violated, 5 unknown simulation rule.
 Commands raise ``CommandError``; ``main`` alone prints its lines and
-returns its code.
+returns its code, and ``run``, the console entry point, exits with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -285,5 +286,19 @@ def main(argv=None) -> int:
         return err.code
 
 
+def run() -> None:
+    """Console entry point: exit with the code of ``main``.
+
+    ``main`` writes and closes every file it makes. At exit the
+    interpreter runs full garbage collections over every tracked object,
+    about 22 000 once numpy is loaded and 4-7 ms each, but it skips frozen
+    objects, so the heap is frozen first. ``main`` itself stays free of
+    that, for callers that go on running.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

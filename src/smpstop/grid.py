@@ -57,11 +57,23 @@ class TimeGrid:
         raise ValueError(f"time {s!r} is not a node of the grid")
 
     def floor_index(self, s: float | np.ndarray) -> int | np.ndarray:
-        """Largest k with node_k <= s, clipped into [0, steps]; elementwise for an array s."""
-        k = np.searchsorted(self._nodes, s, side="right") - 1
-        if isinstance(k, np.ndarray):
-            return np.clip(k, 0, self.steps)
-        return min(max(int(k), 0), self.steps)
+        """Largest k with node_k <= s, clipped into [0, steps]; elementwise for an array s.
+
+        On an array, s * (steps / horizon) truncated is within one of the
+        answer while dt is a normal float, so one comparison with the
+        stored nodes each way corrects it. NaN maps to ``steps``, as under
+        ``searchsorted``: ``fmin`` turns its guess into ``steps - 1``, and it
+        compares false with every node.
+        """
+        if np.ndim(s) == 0:
+            return min(max(int(np.searchsorted(self._nodes, s, side="right")) - 1, 0), self.steps)
+        s = np.asarray(s, dtype=float)
+        if not self.dt >= np.finfo(float).tiny:
+            return np.clip(np.searchsorted(self._nodes, s, side="right") - 1, 0, self.steps)
+        k = np.fmin(np.clip(s, 0.0, self.horizon) * (self.steps / self.horizon), self.steps - 1).astype(np.intp)
+        k += ~(self._nodes[k + 1] > s)
+        k -= (self._nodes[k] > s) & (k > 0)
+        return k
 
 
 @dataclass

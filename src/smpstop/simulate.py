@@ -3,13 +3,13 @@
 Each path owns a counter-based random substream derived from the master
 seed and the path index, so estimates are bit-reproducible for a fixed
 (seed, n_paths) no matter how paths are batched. ``estimate_value`` steps
-thousands of paths together on a numpy copy of those substreams; the
-one-path functions (``path_stream``, ``sample_trajectory``,
-``execute_rule``, ``trajectory_cost``) are the reference it reproduces
-bit for bit. The cost of a stopping time depends on a path only up to the
-stop, so a simulated path ends at its stop: at the first jump where the
-rule fires or the first jump at or past the horizon, whichever comes
-first.
+a pool of up to 4096 paths together on a numpy copy of those substreams,
+refilling it in path order as paths end; the one-path functions
+(``path_stream``, ``sample_trajectory``, ``execute_rule``,
+``trajectory_cost``) are the reference it reproduces bit for bit. The
+cost of a stopping time depends on a path only up to the stop, so a
+simulated path ends at its stop: at the first jump where the rule fires
+or the first jump at or past the horizon, whichever comes first.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ MAX_JUMPS = 100_000
 # Paths that estimate_value advances together; bounds its working memory.
 _CHUNK = 4096
 
-# Jumps that estimate_value takes in lock-step before it hands the paths of a
-# chunk still short of the horizon to the one-path route, in path order.
-# Regular kernels take a few jumps per horizon. Where jumps pile up, the
-# one-path route reaches MAX_JUMPS at the cost of one path, not of a chunk.
+# Jumps that a path takes in estimate_value's lock-step pool before it is
+# handed to the one-path route. Regular kernels take a few jumps per
+# horizon. Where jumps pile up, the one-path route reaches MAX_JUMPS at the
+# cost of one path, not of a pool.
 _LOCKSTEP_JUMPS = 256
 
 
@@ -277,20 +277,17 @@ def estimate_value(model: SMPModel, rule: StoppingRule, x0, n_paths: int, seed: 
 
     Path i draws from ``path_stream(seed, i)``, and its cost, stop index
     and stop flag are those of ``sample_trajectory``, ``execute_rule`` and
-    ``trajectory_cost`` on that stream, bit for bit; paths only run in
-    chunks of ``_CHUNK``. The mean is reduced in fixed path order; a
-    degenerate cost sample is reported exactly (zero standard error).
+    ``trajectory_cost`` on that stream, bit for bit; at most ``_CHUNK``
+    paths run at a time (see ``_run_pool``). The mean is reduced in fixed
+    path order; a degenerate cost sample is reported exactly (zero
+    standard error).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     x_idx = model.states.index(x0) if isinstance(x0, str) else int(x0)
     if not 0 <= x_idx < len(model.states):
         raise ValueError(f"initial state index {x_idx} out of range")
-    costs = np.empty(n_paths)
-    index = np.empty(n_paths, dtype=np.int64)
-    before = np.empty(n_paths, dtype=bool)
-    for first in range(0, n_paths, _CHUNK):
-        _run_chunk(model, rule, x_idx, seed, first, min(_CHUNK, n_paths - first), (costs, index, before))
+    costs, index, before = _run_pool(model, rule, x_idx, seed, n_paths)
     if float(costs.min()) == float(costs.max()):
         mean, std_err = float(costs[0]), 0.0
     else:
@@ -346,7 +343,8 @@ def _philox(key: int, ctr: np.ndarray) -> np.ndarray:
 
 
 class _Streams:
-    """Draws of ``path_stream(seed, i)`` for the paths i = first, ..., first + count - 1.
+    """Draws of ``path_stream(seed, i)`` for the paths i = first, ..., first + count - 1,
+    then for the paths of each ``admit``, row after row.
 
     numpy's Philox bumps word 0 of the counter before it makes a block, so
     block b of path i comes from the counter (b + 1, 0, i mod 2**64,
@@ -356,12 +354,21 @@ class _Streams:
 
     def __init__(self, seed: int, first: int, count: int):
         self.key = int(seed) & ((1 << 128) - 1)
+        self.lo = self.hi = self.made = np.empty(0, dtype=np.uint64)
+        self.pos = np.empty(0, dtype=np.intp)
+        self.block = np.empty((0, 4))
+        self.admit(first, count)
+
+    def admit(self, first: int, count: int) -> None:
+        """Append rows for the fresh streams of paths first, ..., first + count - 1."""
         low = np.uint64(first & _WORD)
-        self.lo = low + np.arange(count, dtype=np.uint64)
-        self.hi = np.uint64(first >> 64) + (self.lo < low).astype(np.uint64)
-        self.made = np.zeros(count, dtype=np.uint64)
-        self.pos = np.full(count, 4)
-        self.block = np.empty((count, 4))
+        lo = low + np.arange(count, dtype=np.uint64)
+        hi = np.uint64(first >> 64) + (lo < low).astype(np.uint64)
+        self.lo = np.concatenate((self.lo, lo))
+        self.hi = np.concatenate((self.hi, hi))
+        self.made = np.concatenate((self.made, np.zeros(count, dtype=np.uint64)))
+        self.pos = np.concatenate((self.pos, np.full(count, 4)))
+        self.block = np.concatenate((self.block, np.empty((count, 4))))
 
     def draw(self, rows: np.ndarray) -> np.ndarray:
         """The next draw of the path at each row."""
@@ -377,9 +384,10 @@ class _Streams:
         self.pos[rows] = pos + 1
         return self.block[rows, pos]
 
-    def keep(self, mask: np.ndarray) -> None:
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the given rows, in the given order."""
         for name in ("lo", "hi", "made", "pos", "block"):
-            setattr(self, name, getattr(self, name)[mask])
+            setattr(self, name, np.take(getattr(self, name), rows, axis=0))
 
 
 def _groups(keys: np.ndarray):
@@ -406,56 +414,76 @@ def _draw_sojourns(laws: list, edge: np.ndarray, streams: _Streams) -> np.ndarra
     return t
 
 
-def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: int, count: int, out) -> None:
-    """Cost, stop index and stop flag of paths first, ..., first + count - 1, written into ``out``.
+def _run_pool(model: SMPModel, rule: StoppingRule, x0: int, seed: int, n_paths: int):
+    """Cost, stop index and stop flag of paths 0, ..., n_paths - 1, as arrays in path order.
 
-    All paths of the chunk jump together, each on its own stream and in
-    the draw order of ``sample_trajectory``: next state, sojourn, a redraw
-    while the sojourn is 0. At each jump a path first meets the horizon,
-    then the rule, as in ``execute_rule``, and a path that either stops
-    leaves the chunk before the next draws: what it would draw later moves
-    neither its cost nor any other path's stream. Running costs are summed
-    in jump order as in ``trajectory_cost``, each sojourn cut at the
+    Paths jump in lock-step in a pool of at most ``_CHUNK`` paths, each on
+    its own stream and in the draw order of ``sample_trajectory``: next
+    state, sojourn, a redraw while the sojourn is 0. After each jump a path
+    first meets the horizon, then the rule, as in ``execute_rule``, and a
+    path that either stops leaves the pool: what it would draw later moves
+    neither its cost nor any other path's stream. Before the next jump,
+    paths not yet run join the pool in path order until it is full again,
+    so the pool stays ascending in path index. Jump 0 is the same for every
+    path, the whole horizon left in state x0, so it is decided once, and a
+    path joins the pool only when it goes on to jump. Running costs are
+    summed in jump order as in ``trajectory_cost``, each sojourn cut at the
     horizon. The cut changes only the sojourn that crosses it: if
     fl(S + t) < T, then S + t < T, and fl(T - S) >= t as rounding is
     monotone. So one sum serves both a stop by the rule and a stop at the
-    horizon. Paths still running after ``lockstep`` jumps take the one-path
-    route; a ``HistoryRule`` reads whole histories, so its ``lockstep`` is 0
-    and all its paths do.
+    horizon.
+
+    A path that reaches ``lockstep`` jumps without stopping is run again
+    on the one-path route at once. Paths join in path order and all take
+    the same number of lock-step jumps, so they reach the hand-off in path
+    order too, and the lowest-index path whose jumps pile up raises
+    ``JumpLimitError`` first, after one pool's lock-step jumps and one
+    path. A ``HistoryRule`` reads whole histories, so its ``lockstep`` is 0
+    and all its paths take the one-path route.
     """
-    costs, index, before = out
+    costs = np.empty(n_paths)
+    index = np.empty(n_paths, dtype=np.int64)
+    before = np.empty(n_paths, dtype=bool)
     n = len(model.states)
     horizon = model.horizon
-    cumulative = np.cumsum(model.kernel.transition, axis=1)
-    laws = [law for row in model.kernel.sojourn for law in row]
     rate, terminal = model.costs.rate, model.costs.terminal
     lockstep = 0 if isinstance(rule, HistoryRule) else min(_LOCKSTEP_JUMPS, MAX_JUMPS)
-    streams = _Streams(seed, first, count)
-    path = np.arange(first, first + count)
-    x = np.full(count, x0)
-    elapsed = np.zeros(count)
-    running = np.zeros(count)
-    jumps = 0
+
+    def one_path(i: int) -> None:
+        traj = sample_trajectory(model, x0, path_stream(seed, i), rule)
+        # sampled under the rule, the trajectory ends at its stop, which execute_rule would find again
+        outcome = StopOutcome(index=len(traj.sojourns), stopped_before_horizon=traj.jump_times[-1] < horizon)
+        costs[i] = trajectory_cost(traj, outcome, model)
+        index[i], before[i] = outcome.index, outcome.stopped_before_horizon
+
+    # jump 0: the horizon, the hand-off, the rule
+    if not 0.0 < horizon:
+        costs[:], index[:], before[:] = 0.0, 0, False
+        return costs, index, before
+    if lockstep == 0:
+        for i in range(n_paths):
+            one_path(i)
+        return costs, index, before
+    if rule.stops_many(np.array([horizon]), np.array([x0]))[0]:
+        costs[:], index[:], before[:] = 0.0 + terminal[x0], 0, True
+        return costs, index, before
+    cumulative = np.cumsum(model.kernel.transition, axis=1)
+    laws = [law for row in model.kernel.sojourn for law in row]
+    streams = _Streams(seed, 0, 0)
+    path, jumps, x = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
+    elapsed, running = np.empty(0), np.empty(0)
+    admitted = 0
     while True:
-        live = elapsed < horizon
-        if not live.all():
-            ended = path[~live]
-            costs[ended] = running[~live]
-            index[ended] = jumps
-            before[ended] = False
-        if jumps == lockstep or not live.any():
+        fresh = min(_CHUNK - path.size, n_paths - admitted)
+        if fresh:
+            streams.admit(admitted, fresh)
+            path = np.concatenate((path, np.arange(admitted, admitted + fresh)))
+            x = np.concatenate((x, np.full(fresh, x0)))
+            elapsed, running = (np.concatenate((a, np.zeros(fresh))) for a in (elapsed, running))
+            jumps = np.concatenate((jumps, np.zeros(fresh, dtype=np.int64)))
+            admitted += fresh
+        if not path.size:
             break
-        rows = np.flatnonzero(live)
-        fired = rows[rule.stops_many(horizon - elapsed[rows], x[rows])]
-        costs[path[fired]] = running[fired] + terminal[x[fired]]
-        index[path[fired]] = jumps
-        before[path[fired]] = True
-        live[fired] = False
-        if not live.any():
-            break
-        if not live.all():
-            path, x, elapsed, running = (a[live] for a in (path, x, elapsed, running))
-            streams.keep(live)
         every = np.arange(path.size)
         y = np.minimum((cumulative[x] <= streams.draw(every)[:, None]).sum(axis=1), n - 1)
         t = _draw_sojourns(laws, x * n + y, streams)
@@ -463,12 +491,23 @@ def _run_chunk(model: SMPModel, rule: StoppingRule, x0: int, seed: int, first: i
         elapsed = elapsed + t
         x = y
         jumps += 1
-    for i in path[live].tolist():
-        traj = sample_trajectory(model, x0, path_stream(seed, i), rule)
-        # sampled under the rule, the trajectory ends at its stop, which execute_rule would find again
-        outcome = StopOutcome(index=len(traj.sojourns), stopped_before_horizon=traj.jump_times[-1] < horizon)
-        costs[i] = trajectory_cost(traj, outcome, model)
-        index[i], before[i] = outcome.index, outcome.stopped_before_horizon
+        live = elapsed < horizon
+        rows = np.flatnonzero(live)
+        if rows.size < path.size:
+            ended = np.flatnonzero(~live)
+            costs[path[ended]], index[path[ended]], before[path[ended]] = running[ended], jumps[ended], False
+        due = jumps[rows] == lockstep
+        if due.any():
+            for i in path[rows[due]].tolist():
+                one_path(i)
+            rows = rows[~due]
+        stops = rule.stops_many(horizon - elapsed[rows], x[rows])
+        fired, rows = rows[stops], rows[~stops]
+        costs[path[fired]], index[path[fired]], before[path[fired]] = running[fired] + terminal[x[fired]], jumps[fired], True
+        if rows.size < path.size:
+            path, x, elapsed, running, jumps = (a[rows] for a in (path, x, elapsed, running, jumps))
+            streams.keep(rows)
+    return costs, index, before
 
 
 def policy_from_rule(rule: StoppingRule, model: SMPModel, grid: TimeGrid) -> DeterministicMarkovPolicy:

@@ -161,6 +161,28 @@ def test_check_does_not_load_fft(m1_file):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("valid", [True, False])
+def test_the_console_entry_point_writes_what_main_writes(m2_file, tmp_path, capsys, valid):
+    # run() freezes the heap before the interpreter exits, which must change no output
+    model = m2_file if valid else _write_m2_with(tmp_path, lambda d: d["transition"][0].__setitem__(0, math.nan))
+    argv = ["solve", "--model", str(model), "--grid", "64"]
+    code = run(*argv, "--out", str(tmp_path / "main"))
+    stdout = capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "smpstop.cli", *argv, "--out", str(tmp_path / "process")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert code == (0 if valid else 2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
+    names = ["region.csv", "solve_report.json", "value.csv"] if valid else []
+    for side in ("main", "process"):
+        assert sorted(p.name for p in (tmp_path / side).glob("*")) == names
+    for name in names:
+        assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
 def test_check_zero_horizon(tmp_path, capsys):
     path = tmp_path / "t0.json"
     save_model(single_state_model(horizon=0.0), path)

@@ -3,7 +3,7 @@
 The reference is the loop ``path_stream`` -> ``sample_trajectory`` ->
 ``execute_rule`` -> ``trajectory_cost`` over paths 0..n-1, reduced as
 ``estimate_value`` reduces. Reports must match it, and each other across
-chunk sizes, bit for bit.
+pool sizes (``_CHUNK``), bit for bit.
 """
 
 import math
@@ -295,16 +295,84 @@ def test_the_engine_makes_only_the_blocks_its_paths_use(monkeypatch):
     assert made == []
 
 
-def test_piling_up_costs_the_lock_step_budget_then_one_path(monkeypatch):
-    # a chunk of many paths steps _LOCKSTEP_JUMPS times, then one path runs into MAX_JUMPS alone
-    steps, made = [], []
-    draw_sojourns, sample = sim._draw_sojourns, sim.sample_trajectory
+def counted_steps(monkeypatch) -> list:
+    """A list that gains an entry at each lock-step jump of ``estimate_value``, one ``_draw_sojourns`` call each."""
+    steps = []
+    draw_sojourns = sim._draw_sojourns
     monkeypatch.setattr(sim, "_draw_sojourns", lambda *a: steps.append(1) or draw_sojourns(*a))
+    return steps
+
+
+@pytest.mark.parametrize("chunk", [4096, 64])
+def test_piling_up_costs_the_lock_step_budget_then_one_path(chunk, monkeypatch):
+    # a pool of many paths steps _LOCKSTEP_JUMPS times, then one path runs into MAX_JUMPS alone,
+    # also when the paths fill more than one pool
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    steps, made = counted_steps(monkeypatch), []
+    sample = sim.sample_trajectory
     monkeypatch.setattr(sim, "sample_trajectory", lambda *a: made.append(1) or sample(*a))
     with pytest.raises(sim.JumpLimitError):
         sim.estimate_value(piling_up_model(), NeverStop(), "a", 1000, 3)
     assert len(steps) == sim._LOCKSTEP_JUMPS < sim.MAX_JUMPS
     assert len(made) == 1
+
+
+def partly_piling_up_model() -> SMPModel:
+    """From a, half of the paths wait in b past the horizon; the others loop in c every 1e-300."""
+    return SMPModel(
+        states=StateSpace(("a", "b", "c")),
+        kernel=SemiMarkovKernel(
+            np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            (
+                (None, Uniform(0.0, 0.5), Uniform(0.0, 0.5)),
+                (None, PointMass(2.0), None),
+                (None, None, PointMass(1e-300)),
+            ),
+        ),
+        costs=CostModel(np.array([1.0, 1.0, 1.0]), np.array([0.5, 0.5, 0.5])),
+        horizon=1.0,
+    )
+
+
+@pytest.mark.parametrize("chunk", [8, 4])
+@pytest.mark.parametrize("lockstep", [10, 40, 256])
+def test_the_lowest_failing_path_raises_first(lockstep, chunk, monkeypatch):
+    # each failing path reports its own first sojourn, so the message names the path that raised;
+    # at seed 1 paths 5, 6 and 7 fail: they reach the hand-off together, and in a pool of 4 they
+    # join after paths 0-3 have left
+    model = partly_piling_up_model()
+    monkeypatch.setattr(sim, "MAX_JUMPS", 40)
+    monkeypatch.setattr(sim, "_LOCKSTEP_JUMPS", lockstep)
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    n_paths, seed = 60, 1
+    failing = []
+    for i in range(n_paths):
+        try:
+            sample_trajectory(model, 0, path_stream(seed, i))
+        except sim.JumpLimitError as err:
+            failing.append((i, str(err)))
+    assert [i for i, _ in failing[:3]] == [5, 6, 7]
+    assert len({text for _, text in failing}) == len(failing) > 1
+    with pytest.raises(sim.JumpLimitError) as got:
+        sim.estimate_value(model, NeverStop(), "a", n_paths, seed)
+    assert str(got.value) == failing[0][1]
+
+
+@pytest.mark.parametrize("model_seed", [8, 10])
+def test_the_pool_refills_as_paths_leave(model_seed, monkeypatch):
+    # every lock-step jump runs on _CHUNK paths until the last path has joined; the chunk-by-chunk
+    # loop this replaced ran each chunk until its slowest path ended
+    rng = np.random.default_rng(model_seed)
+    model = make_random_model(rng, n_states=4)
+    policy = make_random_policy(rng, build_smdp(model).n_base, TimeGrid(model.horizon, 32))
+    monkeypatch.setattr(sim, "_CHUNK", 16)
+    steps = counted_steps(monkeypatch)
+    for rule in (NeverStop(), PolicyRule(policy)):
+        steps.clear()
+        report = sim.estimate_value(model, rule, "s0", 2000, model_seed)
+        jumps = sum(k * count for k, count in report.stop_histogram.items())
+        assert report.stopped_before_frac < 1.0
+        assert len(steps) <= math.ceil(jumps / 16) + max(report.stop_histogram) + 1
 
 
 def test_zero_horizon_paths_end_at_once():

@@ -265,8 +265,38 @@ def test_time_grid_index_round_trip(horizon, steps):
     assert grid.floor_index(mid) == 0
     assert type(grid.floor_index(mid)) is int
     # an array of times gives the scalar answers elementwise
-    times = np.concatenate([grid.nodes, grid.nodes + 0.5 * grid.dt, [-1.0, horizon * 2]])
+    times = np.concatenate(
+        [grid.nodes, grid.nodes + 0.5 * grid.dt, np.nextafter(grid.nodes, -1.0), np.nextafter(grid.nodes, 2 * horizon)]
+    )
+    times = np.concatenate([times, [-1.0, -0.0, horizon * 2]])
     assert grid.floor_index(times).tolist() == [grid.floor_index(float(s)) for s in times]
+
+
+@pytest.mark.parametrize(
+    "horizon, steps",
+    [(1.0, 1), (1.0, 37), (1.0, 1536), (0.7, 37), (3.3, 1536), (1e-300, 1536), (1e300, 37), (1e-310, 7)],
+)
+def test_floor_index_on_an_array_is_searchsorted_clipped(horizon, steps):
+    # the array route guesses from s * (steps / horizon) and corrects against the stored nodes;
+    # at 1e-310 / 7, dt is subnormal, where the guess can be off by more than one
+    grid = TimeGrid(horizon, steps)
+    nodes = grid.nodes
+    special = [-0.0, 0.0, -1.0, -horizon, -np.inf, 2 * horizon, np.inf, np.finfo(float).max, np.nan]
+    rng = np.random.default_rng(steps)
+    s = np.concatenate(
+        [
+            nodes,
+            np.nextafter(nodes, -np.inf),
+            np.nextafter(nodes, np.inf),
+            special,
+            horizon * rng.uniform(-0.1, 1.1, 2000),
+        ]
+    )
+    want = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, steps)
+    got = grid.floor_index(s)
+    assert got.tolist() == want.tolist()
+    assert got[-2000 - 1] == steps  # NaN sorts after every node, as in searchsorted
+    assert got.tolist() == [grid.floor_index(float(v)) for v in s]
 
 
 # ---------------------------------------------------------------------------
