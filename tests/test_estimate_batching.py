@@ -303,11 +303,7 @@ def counted_steps(monkeypatch) -> list:
     return steps
 
 
-@pytest.mark.parametrize("chunk", [4096, 64])
-def test_piling_up_costs_the_lock_step_budget_then_one_path(chunk, monkeypatch):
-    # a pool of many paths steps _LOCKSTEP_JUMPS times, then one path runs into MAX_JUMPS alone,
-    # also when the paths fill more than one pool
-    monkeypatch.setattr(sim, "_CHUNK", chunk)
+def check_piling_up_budget(monkeypatch) -> None:
     steps, made = counted_steps(monkeypatch), []
     sample = sim.sample_trajectory
     monkeypatch.setattr(sim, "sample_trajectory", lambda *a: made.append(1) or sample(*a))
@@ -315,6 +311,17 @@ def test_piling_up_costs_the_lock_step_budget_then_one_path(chunk, monkeypatch):
         sim.estimate_value(piling_up_model(), NeverStop(), "a", 1000, 3)
     assert len(steps) == sim._LOCKSTEP_JUMPS < sim.MAX_JUMPS
     assert len(made) == 1
+
+
+def test_piling_up_costs_the_lock_step_budget_then_one_path(monkeypatch):
+    # a pool of many paths steps _LOCKSTEP_JUMPS times, then one path runs into MAX_JUMPS alone
+    check_piling_up_budget(monkeypatch)
+
+
+def test_piling_up_over_several_pools_costs_the_same(monkeypatch):
+    # the same budget holds when the paths fill more than one pool
+    monkeypatch.setattr(sim, "_CHUNK", 64)
+    check_piling_up_budget(monkeypatch)
 
 
 def partly_piling_up_model() -> SMPModel:
