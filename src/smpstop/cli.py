@@ -24,8 +24,8 @@ from .model import (
     ModelFormatError,
     SMPModel,
     contraction_factor,
-    kernel_mass,
     load_model,
+    sup_kernel_mass,
     validate_model,
 )
 from .simulate import AlwaysStop, JumpLimitError, NeverStop, RegionRule, estimate_value
@@ -142,8 +142,7 @@ def cmd_check(cfg: RunConfig) -> int:
     print(f"{'delta':>12}  {'sup_x Q(delta,E|x)':>20}")
     for frac in (16, 8, 4, 2):
         delta = horizon / frac
-        sup = max(kernel_mass(model.kernel, x, delta) for x in range(len(model.states)))
-        print(f"{delta:>12.6g}  {sup:>20.6g}")
+        print(f"{delta:>12.6g}  {sup_kernel_mass(model.kernel, delta):>20.6g}")
     beta = contraction_factor(model)
     note = "geometric iteration budget available" if beta < 1 else "no geometric budget"
     print(f"beta = sup_x Q(T,E|x) = {beta:.6g}  ({note})")

@@ -31,6 +31,7 @@ __all__ = [
     "RegularityCheck",
     "validate_model",
     "kernel_mass",
+    "sup_kernel_mass",
     "check_regularity",
     "contraction_factor",
     "model_from_dict",
@@ -200,19 +201,24 @@ def kernel_mass(kernel: SemiMarkovKernel, x: int, t: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
+def sup_kernel_mass(kernel: SemiMarkovKernel, t: float) -> float:
+    """sup_x Q(t, E|x), the largest jump probability within [0, t] over source states."""
+    return max(kernel_mass(kernel, x, t) for x in range(kernel.n_states))
+
+
 def check_regularity(model: SMPModel, delta: float, eps: float) -> RegularityCheck:
     """Check sup_x Q(delta, E|x) <= 1 - eps, the bound that keeps jump counts finite."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    sup = max(kernel_mass(model.kernel, x, delta) for x in range(len(model.states)))
+    sup = sup_kernel_mass(model.kernel, delta)
     return RegularityCheck(ok=sup <= 1.0 - eps, sup_mass=sup)
 
 
 def contraction_factor(model: SMPModel) -> float:
     """beta = sup_x Q(T, E|x); values below 1 give a geometric iteration budget."""
-    return max(kernel_mass(model.kernel, x, model.horizon) for x in range(len(model.states)))
+    return sup_kernel_mass(model.kernel, model.horizon)
 
 
 # ---------------------------------------------------------------------------

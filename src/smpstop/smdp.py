@@ -7,10 +7,11 @@ further cost can accrue. Value iteration on this process computes the
 minimal expected cost over all stop/continue strategies, the argmin yields
 an optimal decision table, and a fixed table can be evaluated the same way.
 
-This module also holds the one fixed-point engine that every solve runs
-(``_fixed_point``), the one continuation term that every sweep uses
-(``_continuation``) and the workspace that a solve's sweeps share
-(``_Workspace``); the stopping recursion in ``solver`` builds on them.
+This module also holds the library's one value-iteration loop
+(``_fixed_point``), which every solve and ``eps_region`` runs, the one
+continuation term that every sweep uses (``_continuation``) and the
+workspace that a loop's sweeps share (``_Workspace``); the stopping
+recursion in ``solver`` builds on them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import ConvolutionWorkspace, KernelGrid, TimeGrid, ValueGrid, convolve_values, discretize_kernel
-from .model import SMPModel, kernel_mass
+from .model import SMPModel, check_regularity, kernel_mass
 
 __all__ = [
     "CONTINUE",
@@ -101,18 +102,10 @@ def build_smdp(model: SMPModel) -> SMDPModel:
 def check_smdp_regularity(sm: SMDPModel, delta: float, eps: float) -> bool:
     """Regularity of the controlled kernel, tested at delta-hat = min(delta, 1/2).
 
-    Stop rows carry no mass before horizon + 1, so only continuation rows
-    can violate the bound.
+    Stop rows carry no mass before horizon + 1 > 1/2, so only the
+    continuation rows, those of the base kernel, can violate the bound.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    d_hat = min(delta, 0.5)
-    bound = 1.0 - eps
-    if sm.controlled_mass(sm.rest_state, STOP, d_hat) > bound:  # identically zero
-        return False
-    return all(sm.controlled_mass(x, CONTINUE, d_hat) <= bound for x in range(sm.n_base))
+    return check_regularity(sm.base, min(delta, 0.5), eps).ok
 
 
 @dataclass(frozen=True)
@@ -192,6 +185,7 @@ def _fixed_point(
     sweep: Callable[[KernelGrid, np.ndarray, np.ndarray, _Workspace], np.ndarray],
     tol: float,
     kg: KernelGrid | None = None,
+    sweeps: int | None = None,
 ) -> tuple[ValueGrid, SolveReport]:
     """Iterate ``sweep`` from a zero table of ``width`` columns up to its fixed point.
 
@@ -201,11 +195,13 @@ def _fixed_point(
     nothing. So the loop runs at most ``grid.steps + 2`` sweeps. It stops
     early once the sup-norm successive difference drops to ``tol``; a
     ``tol`` below round-off is flagged as not converged, and the last
-    iterate is still returned. The fixed-point residual is re-verified with
-    one extra sweep, whose table the report keeps as ``next_values``. A
-    ``kg`` discretized from ``model.kernel`` on ``grid`` is used as given,
-    so solves on one grid can share one discretization; one from another
-    kernel or grid is rejected.
+    iterate is still returned. Given ``sweeps`` (at least 1) instead, it
+    runs exactly that many, with no stop at ``tol`` and no cap, as
+    ``eps_region``'s iteration budget needs. Either way the fixed-point
+    residual is re-verified with one extra sweep, whose table the report
+    keeps as ``next_values``. A ``kg`` discretized from ``model.kernel`` on
+    ``grid`` is used as given, so solves on one grid can share one
+    discretization; one from another kernel or grid is rejected.
 
     ``sweep(kg, values, out, ws)`` writes the sweep of ``values`` into
     ``out`` and returns it; ``ws`` is the solve's workspace. The loop holds
@@ -223,11 +219,11 @@ def _fixed_point(
     spare = np.empty_like(values)
     scratch = np.empty_like(values)
     diffs: list[float] = []
-    for _ in range(grid.steps + 2):
+    for _ in range(grid.steps + 2 if sweeps is None else sweeps):
         nxt = sweep(kg, values, spare, ws)
         diffs.append(_sup_diff(nxt, values, scratch))
         values, spare = nxt, values
-        if diffs[-1] <= tol:
+        if sweeps is None and diffs[-1] <= tol:
             break
     swept = sweep(kg, values, spare, ws)
     report = SolveReport(

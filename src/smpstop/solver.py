@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def solve_value(
     re-verifies the fixed-point residual with one extra sweep. A ``kg``
     discretized on ``grid`` is used instead of discretizing the kernel again.
     """
-    return _fixed_point(model, grid, len(model.states), lambda kg, v, out, ws: _g_sweep(model, kg, v, out, ws), tol, kg)
+    return _fixed_point(model, grid, len(model.states), partial(_g_sweep, model), tol, kg)
 
 
 def stopping_region(v: ValueGrid, model: SMPModel, eta: float = 1e-6) -> StoppingRegion:
@@ -173,20 +174,16 @@ def iteration_budget(model: SMPModel, eps: float) -> EpsBudget:
 def eps_region(model: SMPModel, grid: TimeGrid, eps: float, eta: float = 1e-6) -> EpsRegionResult:
     """Run exactly the budgeted number of sweeps from zero and read off the region.
 
-    The region collects the nodes where one further sweep of the recursion
+    The sweeps run in ``smdp._fixed_point``'s loop, told the count, so
+    neither ``tol`` nor the grid's cap ends them; the loop's residual sweep
+    is ``refined``. The region collects the nodes where that further sweep
     already returns the stop payoff. Stopping by hitting this region is
     eps-optimal; when the payoff margin outside it exceeds eps (see
     ``exactness_gap``) the region coincides with the optimal one.
     """
     budget = iteration_budget(model, eps)
-    kg = discretize_kernel(model.kernel, grid)
-    ws = _Workspace(model, kg)
-    values = np.zeros((grid.steps + 1, len(model.states)))
-    spare = np.empty_like(values)
-    for _ in range(budget.n_iter):
-        values, spare = _g_sweep(model, kg, values, spare, ws), values
-    iterate = ValueGrid(grid=grid, values=values)
-    refined = ValueGrid(grid=grid, values=_g_sweep(model, kg, values, spare, ws))
+    iterate, report = _fixed_point(model, grid, len(model.states), partial(_g_sweep, model), eps, sweeps=budget.n_iter)
+    refined = ValueGrid(grid=grid, values=report.next_values)
     region = stopping_region(refined, model, eta)
     return EpsRegionResult(region=region, iterate=iterate, refined=refined, budget=budget)
 

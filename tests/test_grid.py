@@ -3,7 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smpstop import PointMass, SMPModel, TimeGrid, convolve_values, discretize_kernel
+import smpstop.grid
+from smpstop import (
+    PointMass,
+    SMPModel,
+    TimeGrid,
+    contraction_factor,
+    convolve_values,
+    discretize_kernel,
+    eps_region,
+    solve_value,
+)
 from smpstop.grid import ConvolutionWorkspace, _fft_length
 from smpstop.solver import _g_sweep
 from conftest import (
@@ -80,6 +90,32 @@ def test_stored_spectra_match_per_call_transforms_bit_for_bit(steps):
             assert convolve_values(kg, v).tobytes() == expected
             assert convolve_values(kg, v, out, work) is out
             assert out.tobytes() == expected
+
+
+@pytest.mark.parametrize("steps", (1, 3, 64, 1536))
+def test_fft_branch_without_out_gives_the_same_bytes(steps, monkeypatch):
+    # numpy 1.x's transforms take no out=, so _into assigns their results
+    # instead; that branch must write the bytes of the out= branch, from the
+    # stored spectra through one sweep into a workspace to solved tables
+    rng = np.random.default_rng(2000 + steps)
+    models = [sparse_free_running_model(), make_random_model(rng, 3), sparse_random_model(rng, 4)]
+
+    def tables(model, grid, v):
+        kg = discretize_kernel(model.kernel, grid)
+        conv = convolve_values(kg, v, np.empty_like(v), ConvolutionWorkspace(kg))
+        found = [kg.spectra, conv, solve_value(model, grid, 1e-12)[0].values]
+        if contraction_factor(model) < 1.0:
+            result = eps_region(model, grid, 1e-3)
+            found += [result.iterate.values, result.refined.values]
+        return [table.tobytes() for table in found]
+
+    for model in models:
+        grid = TimeGrid(model.horizon, steps)
+        v = rng.uniform(0.0, 3.0, (steps + 1, len(model.states)))
+        with_out = tables(model, grid, v)
+        monkeypatch.setattr(smpstop.grid, "_FFT_TAKES_OUT", False)
+        assert tables(model, grid, v) == with_out
+        monkeypatch.undo()
 
 
 def test_sweeps_keep_only_the_spectra_resident():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smpstop.smdp
+import smpstop.solver
 
 from smpstop import (
     STOP,
@@ -261,7 +262,7 @@ ENGINE_MODELS = {
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 64])
 @pytest.mark.parametrize("name", list(ENGINE_MODELS))
-def test_engine_changes_no_bits(name, steps):
+def test_engine_changes_no_bits(name, steps, monkeypatch):
     # The solves and eps_region reuse one workspace and swap two tables. A plain
     # loop of the public one-sweep operators, each of which returns a new table,
     # must give the same bytes; a sweep that wrote into the table it reads would not.
@@ -297,7 +298,21 @@ def test_engine_changes_no_bits(name, steps):
         assert report.next_values.tobytes() == swept.tobytes()
     if contraction_factor(model) == 1.0:
         return  # the free-running model's jumps all land inside the horizon: no eps budget
+    # eps_region runs the solves' loop told a sweep count: exactly the budget's
+    # sweeps and the residual one, with no stop at tol and no steps + 2 cap.
+    # The bytes alone miss either once the table reaches a bitwise fixed point.
+    sweeps = []
+
+    def counted_g_sweep(*args):
+        sweeps.append(None)
+        return _g_sweep(*args)
+
+    monkeypatch.setattr(smpstop.solver, "_g_sweep", counted_g_sweep)
     result = eps_region(model, grid, 1e-3)
+    monkeypatch.undo()
+    assert len(sweeps) == result.budget.n_iter + 1
+    if steps <= 3:
+        assert result.budget.n_iter > steps + 2
     values = np.zeros((grid.steps + 1, n))
     for _ in range(result.budget.n_iter):
         values = g_step(values)
