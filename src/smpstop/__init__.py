@@ -33,9 +33,7 @@ from .smdp import (
     SMDPModel,
     SolveReport,
     apply_T,
-    apply_T_action,
     build_smdp,
-    check_smdp_regularity,
     evaluate_policy,
     extract_optimal_policy,
     solve_smdp,
@@ -52,7 +50,6 @@ from .solver import (
     exactness_gap,
     iteration_budget,
     operator_discrepancy,
-    route_discrepancy,
     solve_value,
     stopping_region,
     write_region_csv,
@@ -72,7 +69,6 @@ from .simulate import (
     estimate_value,
     execute_rule,
     path_stream,
-    policy_from_rule,
     sample_trajectory,
     trajectory_cost,
 )

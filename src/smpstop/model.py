@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,17 @@ class SemiMarkovKernel:
     @property
     def n_states(self) -> int:
         return self.transition.shape[0]
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Row-wise cumulative sums of the transition matrix, inf from each row's last positive column on.
+
+        A draw at or above a row's sum, which may fall short of 1, picks that column.
+        """
+        last = self.n_states - 1 - np.argmax(self.transition[:, ::-1] > 0, axis=1)
+        cumulative = np.where(np.arange(self.n_states) < last[:, None], np.cumsum(self.transition, axis=1), np.inf)
+        cumulative.flags.writeable = False
+        return cumulative
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import TimeGrid
 from .model import SMPModel
-from .smdp import CONTINUE, STOP, DeterministicMarkovPolicy
+from .smdp import STOP, DeterministicMarkovPolicy
 from .solver import StoppingRegion
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "execute_rule",
     "trajectory_cost",
     "estimate_value",
-    "policy_from_rule",
 ]
 
 # Jumps one path may take before its stop. Regular kernels average a few
@@ -148,7 +146,7 @@ class HistoryRule(StoppingRule):
     """Stop when predicate(remaining, states_so_far, sojourns_so_far) holds.
 
     Executable for experimentation; such rules are not reducible to a
-    decision table and are rejected by ``policy_from_rule``.
+    decision table, and ``estimate_value`` runs their paths one at a time.
     """
 
     predicate: Callable[[float, tuple[int, ...], tuple[float, ...]], bool]
@@ -198,9 +196,8 @@ def sample_trajectory(
     if not 0 <= x0 < n:
         raise ValueError(f"initial state index {x0} out of range")
     horizon = model.horizon
-    P = model.kernel.transition
     sojourn = model.kernel.sojourn
-    cumulative = np.cumsum(P, axis=1)
+    cumulative = model.kernel.cumulative
     states = [int(x0)]
     sojourns: list[float] = []
     jumps = [0.0]
@@ -214,7 +211,7 @@ def sample_trajectory(
                 f"a path from state {x0} took {MAX_JUMPS} jumps and reached time {elapsed:.6g} "
                 f"of the horizon {horizon:g}; the kernel's jumps pile up inside the horizon"
             )
-        y = min(int(np.searchsorted(cumulative[x], rng.random(), side="right")), n - 1)
+        y = int(np.searchsorted(cumulative[x], rng.random(), side="right"))
         t = sojourn[x][y].sample(rng)
         elapsed = elapsed + t
         states.append(y)
@@ -467,7 +464,7 @@ def _run_pool(model: SMPModel, rule: StoppingRule, x0: int, seed: int, n_paths: 
     if rule.stops_many(np.array([horizon]), np.array([x0]))[0]:
         costs[:], index[:], before[:] = 0.0 + terminal[x0], 0, True
         return costs, index, before
-    cumulative = np.cumsum(model.kernel.transition, axis=1)
+    cumulative = model.kernel.cumulative
     laws = [law for row in model.kernel.sojourn for law in row]
     streams = _Streams(seed, 0, 0)
     path, jumps, x = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
@@ -485,7 +482,7 @@ def _run_pool(model: SMPModel, rule: StoppingRule, x0: int, seed: int, n_paths: 
         if not path.size:
             break
         every = np.arange(path.size)
-        y = np.minimum((cumulative[x] <= streams.draw(every)[:, None]).sum(axis=1), n - 1)
+        y = (cumulative[x] <= streams.draw(every)[:, None]).sum(axis=1)
         t = _draw_sojourns(laws, x * n + y, streams)
         running = running + rate[x] * np.minimum(horizon - elapsed, t)
         elapsed = elapsed + t
@@ -509,18 +506,3 @@ def _run_pool(model: SMPModel, rule: StoppingRule, x0: int, seed: int, n_paths: 
             streams.keep(rows)
     return costs, index, before
 
-
-def policy_from_rule(rule: StoppingRule, model: SMPModel, grid: TimeGrid) -> DeterministicMarkovPolicy:
-    """Materialize a Markov stopping rule as a decision table on the grid.
-
-    The round trip rule -> policy -> induced rule reproduces the stop
-    decision at every grid node. History-dependent rules are rejected.
-    """
-    if isinstance(rule, HistoryRule):
-        raise ValueError("history-dependent rules cannot be reduced to a decision table")
-    n = len(model.states)
-    table = np.full((grid.steps + 1, n + 1), STOP, dtype=np.int8)
-    stops = rule.stops_many(np.repeat(grid.nodes[1:], n), np.tile(np.arange(n), grid.steps))
-    table[1:, :n] = np.where(stops.reshape(grid.steps, n), STOP, CONTINUE)
-    table[0, :n] = CONTINUE
-    return DeterministicMarkovPolicy(grid=grid, table=table)

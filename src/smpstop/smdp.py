@@ -6,6 +6,8 @@ the process in the rest state with a sojourn longer than any horizon, so no
 further cost can accrue. Value iteration on this process computes the
 minimal expected cost over all stop/continue strategies, the argmin yields
 an optimal decision table, and a fixed table can be evaluated the same way.
+``_t_sweep`` and ``_policy_sweep`` compute the process on whole tables; the
+tests keep a pointwise, per-action copy of it as their reference.
 
 This module also holds the library's one value-iteration loop
 (``_fixed_point``), which every solve and ``eps_region`` runs, the one
@@ -22,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import ConvolutionWorkspace, KernelGrid, TimeGrid, ValueGrid, convolve_values, discretize_kernel
-from .model import SMPModel, check_regularity, kernel_mass
+from .model import SMPModel
 
 __all__ = [
     "CONTINUE",
@@ -31,8 +33,6 @@ __all__ = [
     "DeterministicMarkovPolicy",
     "SolveReport",
     "build_smdp",
-    "check_smdp_regularity",
-    "apply_T_action",
     "apply_T",
     "solve_smdp",
     "extract_optimal_policy",
@@ -72,40 +72,10 @@ class SMDPModel:
     def n_states(self) -> int:
         return self.n_base + 1
 
-    def actions(self, x: int) -> tuple[int, ...]:
-        return (STOP,) if x == self.rest_state else (CONTINUE, STOP)
-
-    def cost_rate(self, x: int, a: int) -> float:
-        if x != self.rest_state and a == CONTINUE:
-            return float(self.base.costs.rate[x])
-        return 0.0
-
-    def terminal_cost(self, x: int, a: int) -> float:
-        if x != self.rest_state and a == STOP:
-            return float(self.base.costs.terminal[x])
-        return 0.0
-
-    def controlled_mass(self, x: int, a: int, t: float) -> float:
-        """Jump probability of the controlled kernel within [0, t]."""
-        if a == STOP:
-            return 1.0 if t >= self.base.horizon + 1.0 else 0.0
-        if x == self.rest_state:
-            raise ValueError("continue is not admissible in the rest state")
-        return kernel_mass(self.base.kernel, x, t)
-
 
 def build_smdp(model: SMPModel) -> SMDPModel:
     """Attach the stop action and the absorbing rest state to a validated model."""
     return SMDPModel(base=model)
-
-
-def check_smdp_regularity(sm: SMDPModel, delta: float, eps: float) -> bool:
-    """Regularity of the controlled kernel, tested at delta-hat = min(delta, 1/2).
-
-    Stop rows carry no mass before horizon + 1 > 1/2, so only the
-    continuation rows, those of the base kernel, can violate the bound.
-    """
-    return check_regularity(sm.base, min(delta, 0.5), eps).ok
 
 
 @dataclass(frozen=True)
@@ -267,38 +237,6 @@ def _policy_sweep(
     np.copyto(base, sm.base.costs.terminal, where=stop)
     out[:, sm.n_base] = 0.0
     return out
-
-
-def apply_T_action(
-    sm: SMDPModel,
-    v: ValueGrid,
-    x: int,
-    a: int,
-    s: float,
-    kg: KernelGrid | None = None,
-) -> float:
-    """One-step cost of action a at (s, x) continuing with value v.
-
-    This is the running cost over the censored sojourn, plus the terminal
-    cost if no jump occurs within s, plus the expected continuation value at
-    the post-jump state and remaining horizon. Inadmissible actions cost
-    +inf, so they never win a minimization.
-    """
-    if a not in sm.actions(x):
-        return float("inf")
-    grid = v.grid
-    k = grid.index_of(s)
-    if a == STOP:
-        # no jump inside the horizon and no running cost; the rest state is free
-        return sm.terminal_cost(x, STOP) * (1.0 - sm.controlled_mass(x, STOP, s))
-    if kg is None:
-        kg = discretize_kernel(sm.base.kernel, grid)
-    conv = 0.0
-    if k > 0:
-        weights = kg.jump_mass[x, :, 1 : k + 1]
-        future = v.values[k - 1 :: -1, : sm.n_base]
-        conv = float(np.einsum("yj,jy->", weights, future))
-    return sm.cost_rate(x, CONTINUE) * float(kg.survival[x, k]) + conv
 
 
 def apply_T(sm: SMDPModel, v: ValueGrid, kg: KernelGrid | None = None) -> ValueGrid:

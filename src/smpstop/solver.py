@@ -45,7 +45,6 @@ __all__ = [
     "iteration_budget",
     "eps_region",
     "exactness_gap",
-    "route_discrepancy",
     "operator_discrepancy",
     "cross_check",
     "write_value_csv",
@@ -92,6 +91,7 @@ class EpsRegionResult:
     iterate: ValueGrid
     refined: ValueGrid
     budget: EpsBudget
+    report: SolveReport
 
 
 def _g_sweep(
@@ -176,16 +176,16 @@ def eps_region(model: SMPModel, grid: TimeGrid, eps: float, eta: float = 1e-6) -
 
     The sweeps run in ``smdp._fixed_point``'s loop, told the count, so
     neither ``tol`` nor the grid's cap ends them; the loop's residual sweep
-    is ``refined``. The region collects the nodes where that further sweep
-    already returns the stop payoff. Stopping by hitting this region is
-    eps-optimal; when the payoff margin outside it exceeds eps (see
-    ``exactness_gap``) the region coincides with the optimal one.
+    is ``refined``, its report ``report``. The region collects the nodes
+    where that further sweep already returns the stop payoff. Stopping by
+    hitting this region is eps-optimal; when the payoff margin outside it
+    exceeds eps (see ``exactness_gap``) the region coincides with the optimal one.
     """
     budget = iteration_budget(model, eps)
     iterate, report = _fixed_point(model, grid, len(model.states), partial(_g_sweep, model), eps, sweeps=budget.n_iter)
     refined = ValueGrid(grid=grid, values=report.next_values)
     region = stopping_region(refined, model, eta)
-    return EpsRegionResult(region=region, iterate=iterate, refined=refined, budget=budget)
+    return EpsRegionResult(region=region, iterate=iterate, refined=refined, budget=budget, report=report)
 
 
 def exactness_gap(model: SMPModel, region: StoppingRegion, refined: ValueGrid) -> float:
@@ -200,11 +200,6 @@ def exactness_gap(model: SMPModel, region: StoppingRegion, refined: ValueGrid) -
         return float("inf")
     margins = (model.costs.terminal[None, :] - refined.values)[outside]
     return float(margins.min())
-
-
-def route_discrepancy(v: ValueGrid, u: ValueGrid) -> float:
-    """Max discrepancy on base states between the recursion's table v and the two-action table u."""
-    return float(np.max(np.abs(u.values[:, : v.values.shape[1]] - v.values)))
 
 
 def operator_discrepancy(
@@ -232,7 +227,7 @@ def operator_discrepancy(
 
 
 def cross_check(model: SMPModel, grid: TimeGrid, tol: float = 1e-9) -> float:
-    """Solve both routes on one discretized kernel and return their ``route_discrepancy``.
+    """Solve both routes on one discretized kernel; return their max difference on base states.
 
     The two computations are algebraically identical node for node, so any
     visible discrepancy indicates an implementation fault.
@@ -240,7 +235,7 @@ def cross_check(model: SMPModel, grid: TimeGrid, tol: float = 1e-9) -> float:
     kg = discretize_kernel(model.kernel, grid)
     u, _ = solve_smdp(build_smdp(model), grid, tol=tol, kg=kg)
     v, _ = solve_value(model, grid, tol=tol, kg=kg)
-    return route_discrepancy(v, u)
+    return float(np.max(np.abs(u.values[:, : v.values.shape[1]] - v.values)))
 
 
 # ---------------------------------------------------------------------------

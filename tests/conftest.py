@@ -9,17 +9,26 @@ from hypothesis import settings
 import smpstop.grid
 import smpstop.smdp
 from smpstop import (
+    CONTINUE,
+    STOP,
     CostModel,
     DeterministicMarkovPolicy,
     Exponential,
+    HistoryRule,
+    KernelGrid,
     PointMass,
     SemiMarkovKernel,
+    SMDPModel,
     SMPModel,
     StateSpace,
+    StoppingRule,
     TimeGrid,
     Uniform,
+    ValueGrid,
     Weibull,
+    check_regularity,
     discretize_kernel,
+    kernel_mass,
 )
 from smpstop.grid import _fft_length
 
@@ -67,6 +76,93 @@ def reference_fft_convolve_values(kg, v: np.ndarray) -> np.ndarray:
         k_hat *= v_hat[ys]
         np.maximum(np.fft.irfft(k_hat.sum(axis=0), size)[:K], 0.0, out=out[1:, x])
     return out
+
+
+# ---------------------------------------------------------------------------
+# The decision process one action at a time: the pointwise reference for
+# smdp's whole-table sweeps (_t_sweep, _policy_sweep).
+
+
+def actions(sm: SMDPModel, x: int) -> tuple[int, ...]:
+    return (STOP,) if x == sm.rest_state else (CONTINUE, STOP)
+
+
+def cost_rate(sm: SMDPModel, x: int, a: int) -> float:
+    if x != sm.rest_state and a == CONTINUE:
+        return float(sm.base.costs.rate[x])
+    return 0.0
+
+
+def terminal_cost(sm: SMDPModel, x: int, a: int) -> float:
+    if x != sm.rest_state and a == STOP:
+        return float(sm.base.costs.terminal[x])
+    return 0.0
+
+
+def controlled_mass(sm: SMDPModel, x: int, a: int, t: float) -> float:
+    """Jump probability of the controlled kernel within [0, t]."""
+    if a == STOP:
+        return 1.0 if t >= sm.base.horizon + 1.0 else 0.0
+    if x == sm.rest_state:
+        raise ValueError("continue is not admissible in the rest state")
+    return kernel_mass(sm.base.kernel, x, t)
+
+
+def check_smdp_regularity(sm: SMDPModel, delta: float, eps: float) -> bool:
+    """Regularity of the controlled kernel, tested at delta-hat = min(delta, 1/2).
+
+    Stop rows carry no mass before horizon + 1 > 1/2, so only the
+    continuation rows, those of the base kernel, can violate the bound.
+    """
+    return check_regularity(sm.base, min(delta, 0.5), eps).ok
+
+
+def apply_T_action(
+    sm: SMDPModel,
+    v: ValueGrid,
+    x: int,
+    a: int,
+    s: float,
+    kg: KernelGrid | None = None,
+) -> float:
+    """One-step cost of action a at (s, x) continuing with value v.
+
+    This is the running cost over the censored sojourn, plus the terminal
+    cost if no jump occurs within s, plus the expected continuation value at
+    the post-jump state and remaining horizon. Inadmissible actions cost
+    +inf, so they never win a minimization.
+    """
+    if a not in actions(sm, x):
+        return float("inf")
+    grid = v.grid
+    k = grid.index_of(s)
+    if a == STOP:
+        # no jump inside the horizon and no running cost; the rest state is free
+        return terminal_cost(sm, x, STOP) * (1.0 - controlled_mass(sm, x, STOP, s))
+    if kg is None:
+        kg = discretize_kernel(sm.base.kernel, grid)
+    conv = 0.0
+    if k > 0:
+        weights = kg.jump_mass[x, :, 1 : k + 1]
+        future = v.values[k - 1 :: -1, : sm.n_base]
+        conv = float(np.einsum("yj,jy->", weights, future))
+    return cost_rate(sm, x, CONTINUE) * float(kg.survival[x, k]) + conv
+
+
+def policy_from_rule(rule: StoppingRule, model: SMPModel, grid: TimeGrid) -> DeterministicMarkovPolicy:
+    """Materialize a Markov stopping rule as a decision table on the grid.
+
+    The round trip rule -> policy -> induced rule reproduces the stop
+    decision at every grid node. History-dependent rules are rejected.
+    """
+    if isinstance(rule, HistoryRule):
+        raise ValueError("history-dependent rules cannot be reduced to a decision table")
+    n = len(model.states)
+    table = np.full((grid.steps + 1, n + 1), STOP, dtype=np.int8)
+    stops = rule.stops_many(np.repeat(grid.nodes[1:], n), np.tile(np.arange(n), grid.steps))
+    table[1:, :n] = np.where(stops.reshape(grid.steps, n), STOP, CONTINUE)
+    table[0, :n] = CONTINUE
+    return DeterministicMarkovPolicy(grid=grid, table=table)
 
 
 @contextlib.contextmanager

@@ -39,6 +39,7 @@ from smpstop import (
     solve_value,
     stopping_region,
     trajectory_cost,
+    validate_model,
 )
 from conftest import make_random_model, make_random_policy, two_state_model
 
@@ -234,6 +235,51 @@ def test_jump_limit_error_matches_the_one_path_route(monkeypatch):
         with pytest.raises(sim.JumpLimitError) as got:
             sim.estimate_value(model, NeverStop(), "b", 50, 0)
         assert str(got.value) == str(want.value)
+
+
+def short_row_model() -> SMPModel:
+    """Row a sums to 1e-12 below 1, within ROW_SUM_TOL, and ends in a zero column without a sojourn law."""
+    return SMPModel(
+        states=StateSpace(("a", "b", "c")),
+        kernel=SemiMarkovKernel(
+            np.array([[0.5, 0.5 - 1e-12, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+            ((Exponential(1.0), Exponential(2.0), None), (Exponential(1.0), None, None), (Exponential(1.0), None, None)),
+        ),
+        costs=CostModel(np.array([1.0, 0.5, 0.2]), np.array([0.6, 0.3, 0.1])),
+        horizon=1.0,
+    )
+
+
+LAST_DRAW = 1.0 - 2.0**-53  # the largest draw, above row a's sum
+
+
+class LastDraw:
+    """A stand-in generator whose every draw is LAST_DRAW."""
+
+    def random(self):
+        return LAST_DRAW
+
+
+def test_a_draw_at_the_row_sum_picks_the_last_positive_column():
+    model = short_row_model()
+    assert not validate_model(model).violations
+    traj = sample_trajectory(model, 0, LastDraw())
+    assert traj.states == (0, 1)
+    assert traj.jump_times[-1] >= model.horizon
+
+
+@pytest.mark.parametrize("x0", ["a", "b"])
+def test_estimate_at_the_row_sum_matches_the_one_path_route(x0, monkeypatch):
+    model = short_row_model()
+    monkeypatch.setattr(sim._Streams, "draw", lambda self, rows: np.full(rows.size, LAST_DRAW))
+    region = stopping_region(solve_value(model, TimeGrid(1.0, 64))[0], model)
+    traj = sample_trajectory(model, model.states.index(x0), LastDraw())
+    for rule in (RegionRule(region), NeverStop()):
+        outcome = execute_rule(rule, traj, model.horizon)
+        report = sim.estimate_value(model, rule, x0, 50, 3)
+        assert (report.mean, report.std_err) == (trajectory_cost(traj, outcome, model), 0.0)
+        assert report.stop_histogram == {outcome.index: 50}
+        assert report.stopped_before_frac == float(outcome.stopped_before_horizon)
 
 
 class StopIn(StoppingRule):

@@ -1,4 +1,4 @@
-"""Smoke tests of scripts/: each runs end to end with small arguments and prints what it promises."""
+"""Smoke tests of scripts/ and of the README's quick start: each runs end to end and prints what it promises."""
 
 import os
 import re
@@ -9,14 +9,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *argv):
+def run_python(*argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *argv], capture_output=True, text=True, timeout=120, env=env
-    )
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def run_script(name, *argv):
+    return run_python(str(ROOT / "scripts" / name), *argv)
 
 
 def test_demo_single_state_finds_the_closed_form_boundary():
@@ -31,3 +33,13 @@ def test_grid_convergence_halves_the_error_per_doubling():
     ratios = [float(r) for r in re.findall(r"-> +\d+: (\S+)$", out, re.MULTILINE)]
     assert len(ratios) == 2
     assert all(0.4 <= r <= 0.6 for r in ratios), ratios
+
+
+def test_readme_quick_start_runs_as_written():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    # the closed form: value min(s, 0.5), stopping from s = 0.5 on, so every path stops at once
+    out = run_python("-c", blocks[0])
+    value, boundary, mean = re.fullmatch(r"(\S+) \((\S+),\) (\S+)\n", out).groups()
+    assert float(value) == 0.5 and float(mean) == 0.5
+    assert abs(float(boundary) - 0.5) <= 1.0 / 1024 + 1e-12

@@ -21,14 +21,13 @@ from smpstop import (
     extract_optimal_policy,
     solve_smdp,
     path_stream,
-    policy_from_rule,
     sample_trajectory,
     solve_value,
     stopping_region,
     trajectory_cost,
 )
 from smpstop.simulate import StopOutcome, StoppingRule
-from conftest import make_random_model, make_random_policy, single_state_model, two_state_model
+from conftest import make_random_model, make_random_policy, policy_from_rule, single_state_model, two_state_model
 
 
 @pytest.fixture(scope="module")

@@ -12,15 +12,24 @@ from smpstop import (
     TimeGrid,
     ValueGrid,
     apply_T,
-    apply_T_action,
     build_smdp,
-    check_smdp_regularity,
     evaluate_policy,
     extract_optimal_policy,
     solve_smdp,
 )
 from smpstop.grid import discretize_kernel
-from conftest import make_random_model, make_random_policy, reference_recursion, single_state_model
+from conftest import (
+    actions,
+    apply_T_action,
+    check_smdp_regularity,
+    controlled_mass,
+    cost_rate,
+    make_random_model,
+    make_random_policy,
+    reference_recursion,
+    single_state_model,
+    terminal_cost,
+)
 
 EXP1 = 1.0 - math.exp(-1.0)
 
@@ -36,28 +45,28 @@ def zeros_grid(sm, grid) -> ValueGrid:
 def test_build_smdp_structure(m1):
     sm = build_smdp(m1)
     assert sm.n_base == 1 and sm.rest_state == 1 and sm.n_states == 2
-    assert sm.actions(0) == (CONTINUE, STOP)
-    assert sm.actions(sm.rest_state) == (STOP,)
+    assert actions(sm, 0) == (CONTINUE, STOP)
+    assert actions(sm, sm.rest_state) == (STOP,)
 
 
 def test_build_smdp_costs(m1):
     sm = build_smdp(m1)
-    assert sm.cost_rate(0, CONTINUE) == 1.0
-    assert sm.cost_rate(0, STOP) == 0.0
-    assert sm.terminal_cost(0, STOP) == 0.5
-    assert sm.terminal_cost(0, CONTINUE) == 0.0
-    assert sm.cost_rate(sm.rest_state, STOP) == 0.0
-    assert sm.terminal_cost(sm.rest_state, STOP) == 0.0
+    assert cost_rate(sm, 0, CONTINUE) == 1.0
+    assert cost_rate(sm, 0, STOP) == 0.0
+    assert terminal_cost(sm, 0, STOP) == 0.5
+    assert terminal_cost(sm, 0, CONTINUE) == 0.0
+    assert cost_rate(sm, sm.rest_state, STOP) == 0.0
+    assert terminal_cost(sm, sm.rest_state, STOP) == 0.0
 
 
 def test_stop_kernel_mass_sits_past_the_horizon(m1):
     sm = build_smdp(m1)
-    assert sm.controlled_mass(0, STOP, m1.horizon) == 0.0
-    assert sm.controlled_mass(0, STOP, m1.horizon + 1.0) == 1.0
-    assert sm.controlled_mass(sm.rest_state, STOP, 0.3) == 0.0
-    assert sm.controlled_mass(0, CONTINUE, 1.0) == pytest.approx(EXP1, abs=1e-15)
+    assert controlled_mass(sm, 0, STOP, m1.horizon) == 0.0
+    assert controlled_mass(sm, 0, STOP, m1.horizon + 1.0) == 1.0
+    assert controlled_mass(sm, sm.rest_state, STOP, 0.3) == 0.0
+    assert controlled_mass(sm, 0, CONTINUE, 1.0) == pytest.approx(EXP1, abs=1e-15)
     with pytest.raises(ValueError):
-        sm.controlled_mass(sm.rest_state, CONTINUE, 0.3)
+        controlled_mass(sm, sm.rest_state, CONTINUE, 0.3)
 
 
 def test_smdp_regularity(m1):
@@ -114,6 +123,24 @@ def test_apply_T_pointwise_min(m1):
     assert out.values[-1, 0] == 0.5  # min(0.632..., 0.5)
     assert out.values[0, 0] == 0.0  # empty integrals at s = 0
     assert np.all(out.values[:, 1] == 0.0)
+
+
+def test_apply_T_is_the_pointwise_min_of_the_action_operators():
+    # the whole-table sweep against the per-action reference, node by node
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        model = make_random_model(rng)
+        sm = build_smdp(model)
+        grid = TimeGrid(model.horizon, 16)
+        kg = discretize_kernel(model.kernel, grid)
+        values = rng.uniform(0.0, 2.0, (grid.steps + 1, sm.n_states))
+        values[:, sm.rest_state] = 0.0
+        v = ValueGrid(grid=grid, values=values)
+        got = apply_T(sm, v, kg).values
+        for k, s in enumerate(grid.nodes.tolist()):
+            for x in range(sm.n_states):
+                want = min(apply_T_action(sm, v, x, a, s, kg) for a in (CONTINUE, STOP))
+                assert abs(got[k, x] - want) <= 1e-13 * (1.0 + values.max())
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,20 @@ def test_eps_tail_bound(m1, m2):
         assert np.max(np.abs(v.values - result.refined.values)) <= eps + 1e-8
 
 
+@pytest.mark.parametrize("steps", [64, 1024])
+@pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3, 1e-4])
+def test_eps_region_keeps_its_loop_report(m1, m2, steps, eps):
+    # From zero the successive differences shrink at rate beta from G(0) <= M,
+    # so the residual after N sweeps is at most beta**N M, which the budget
+    # makes at most eps (1 - beta) M / (M + 1).
+    for model in (m1, m2):
+        result = eps_region(model, TimeGrid(model.horizon, steps), eps)
+        report = result.report
+        assert report.iterations == result.budget.n_iter
+        assert report.residual == np.max(np.abs(result.refined.values - result.iterate.values))
+        assert report.residual <= eps * (1.0 - result.budget.beta)
+
+
 # ---------------------------------------------------------------------------
 # cross-check and grid convergence
 
