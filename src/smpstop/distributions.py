@@ -9,9 +9,10 @@ stream reproduces identical paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "SojournDist",
@@ -32,13 +33,13 @@ def _match_input(t, out):
 
 
 def _require_finite(dist) -> None:
-    for field in fields(dist):
-        if not math.isfinite(getattr(dist, field.name)):
-            raise ValueError(f"{field.name} must be finite")
+    for name in dist._fields:
+        if not math.isfinite(getattr(dist, name)):
+            raise ValueError(f"{name} must be finite")
 
 
-class SojournDist:
-    """Base sojourn law. Subclasses are small frozen dataclasses."""
+class SojournDist(Record):
+    """Base sojourn law. Subclasses are small records of the parameters their ``_fields`` name."""
 
     def cdf(self, t):
         """P(sojourn <= t) for a scalar or array of times."""
@@ -56,11 +57,11 @@ class SojournDist:
                 return t
 
 
-@dataclass(frozen=True)
 class Exponential(SojournDist):
-    rate: float
+    _fields = ("rate",)
 
-    def __post_init__(self):
+    def __init__(self, rate: float):
+        self.rate = rate
         _require_finite(self)
         if not self.rate > 0:
             raise ValueError("rate must be positive")
@@ -73,12 +74,11 @@ class Exponential(SojournDist):
         return -np.log1p(-u) / self.rate
 
 
-@dataclass(frozen=True)
 class Weibull(SojournDist):
-    shape: float
-    scale: float
+    _fields = ("shape", "scale")
 
-    def __post_init__(self):
+    def __init__(self, shape: float, scale: float):
+        self.shape, self.scale = shape, scale
         _require_finite(self)
         if not self.shape > 0:
             raise ValueError("shape must be positive")
@@ -100,12 +100,11 @@ class Weibull(SojournDist):
         return self.scale * np.power(-np.log1p(-u), 1.0 / self.shape)
 
 
-@dataclass(frozen=True)
 class Uniform(SojournDist):
-    a: float
-    b: float
+    _fields = ("a", "b")
 
-    def __post_init__(self):
+    def __init__(self, a: float, b: float):
+        self.a, self.b = a, b
         _require_finite(self)
         if self.a < 0:
             raise ValueError("lower endpoint must be nonnegative")
@@ -120,13 +119,13 @@ class Uniform(SojournDist):
         return self.a + (self.b - self.a) * u
 
 
-@dataclass(frozen=True)
 class PointMass(SojournDist):
     """Deterministic sojourn of length d; the CDF is the right-continuous step at d."""
 
-    d: float
+    _fields = ("d",)
 
-    def __post_init__(self):
+    def __init__(self, d: float):
+        self.d = d
         _require_finite(self)
         if not self.d > 0:
             raise ValueError("atom location must be positive")
@@ -151,18 +150,18 @@ def dist_from_dict(data) -> SojournDist:
     if law is None:
         raise ValueError(f"unknown distribution type '{kind}'")
     params = {}
-    for field in fields(law):
-        if field.name not in data:
-            raise ValueError(f"distribution '{kind}' missing field '{field.name}'")
-        value = data[field.name]
+    for name in law._fields:
+        if name not in data:
+            raise ValueError(f"distribution '{kind}' missing field '{name}'")
+        value = data[name]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"{field.name} must be a number")
-        params[field.name] = float(value)
+            raise ValueError(f"{name} must be a number")
+        params[name] = float(value)
     return law(**params)
 
 
 def dist_to_dict(dist: SojournDist) -> dict:
     for kind, law in _TAGS.items():
         if isinstance(dist, law):
-            return {"type": kind, **{field.name: getattr(dist, field.name) for field in fields(law)}}
+            return {"type": kind, **{name: getattr(dist, name) for name in law._fields}}
     raise TypeError(f"cannot encode {type(dist).__name__}")

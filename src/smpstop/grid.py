@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ._record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import SemiMarkovKernel
@@ -24,22 +25,25 @@ def _into(transform, a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Nodes s_k = k * dt for k = 0..steps, with the last node pinned to the horizon."""
+class TimeGrid(Record):
+    """Nodes s_k = k * dt for k = 0..steps, with the last node pinned to the horizon.
 
-    horizon: float
-    steps: int
+    Grids with the same horizon and steps are equal.
+    """
 
-    def __post_init__(self):
-        if not self.horizon > 0:
+    _fields = ("horizon", "steps")
+
+    def __init__(self, horizon: float, steps: int):
+        if not horizon > 0:
             raise ValueError("horizon must be positive")
-        if self.steps < 1:
+        if steps < 1:
             raise ValueError("steps must be at least 1")
-        nodes = (self.horizon / self.steps) * np.arange(self.steps + 1)
-        nodes[-1] = self.horizon
+        self.horizon, self.steps = horizon, steps
+        nodes = (horizon / steps) * np.arange(steps + 1)
+        nodes[-1] = horizon
         nodes.flags.writeable = False
-        object.__setattr__(self, "_nodes", nodes)
+        self._nodes = nodes
+
 
     @property
     def dt(self) -> float:
@@ -76,18 +80,16 @@ class TimeGrid:
         return k
 
 
-@dataclass
 class ValueGrid:
     """Value table on grid nodes, one column per state."""
 
-    grid: TimeGrid
-    values: np.ndarray
+    def __init__(self, grid: TimeGrid, values: np.ndarray):
+        self.grid, self.values = grid, values
 
     def value(self, s: float, x: int) -> float:
         return float(self.values[self.grid.index_of(s), x])
 
 
-@dataclass(frozen=True)
 class KernelGrid:
     """Kernel of a jump process evaluated on a time grid.
 
@@ -106,12 +108,16 @@ class KernelGrid:
     the same code on first access, and kept from then on.
     """
 
-    grid: TimeGrid
-    kernel: "SemiMarkovKernel"
-    mass: np.ndarray
-    survival: np.ndarray
-    edges: np.ndarray
-    spectra: np.ndarray
+    def __init__(
+        self, grid: TimeGrid, kernel: "SemiMarkovKernel", mass: np.ndarray, survival: np.ndarray,
+        edges: np.ndarray, spectra: np.ndarray,
+    ):
+        self.grid = grid
+        self.kernel = kernel
+        self.mass = mass
+        self.survival = survival
+        self.edges = edges
+        self.spectra = spectra
 
     @cached_property
     def jump_mass(self) -> np.ndarray:

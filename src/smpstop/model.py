@@ -6,16 +6,17 @@ accept whatever they are given; semantic problems are collected by
 ``validate_model`` into a report instead of raising, so malformed inputs
 can be inspected and listed.
 
-All types are immutable after construction and every operation here is
-pure, so models can be shared freely across workers.
+No type here is changed after construction, its arrays are read-only,
+and every operation here is pure, so models can be shared freely across
+workers.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,20 +55,17 @@ class ModelFormatError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
 class StateSpace:
     """Ordered, unique state labels with a label -> index map."""
 
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        labels = tuple(str(s) for s in self.labels)
+    def __init__(self, labels: tuple[str, ...]):
+        labels = tuple(str(s) for s in labels)
         if not labels:
             raise ValueError("state space must be non-empty")
         if len(set(labels)) != len(labels):
             raise ValueError("state labels must be unique")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(labels)})
+        self.labels = labels
+        self._index = {s: i for i, s in enumerate(labels)}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -79,26 +77,22 @@ class StateSpace:
             raise ValueError(f"unknown state {label!r}") from None
 
 
-@dataclass(frozen=True)
 class SemiMarkovKernel:
     """Jump-chain matrix plus one sojourn law per positive-probability edge.
 
     ``sojourn[x][y]`` may be None wherever ``transition[x, y] == 0``.
     """
 
-    transition: np.ndarray
-    sojourn: tuple[tuple[SojournDist | None, ...], ...]
-
-    def __post_init__(self):
-        P = np.array(self.transition, dtype=float)
+    def __init__(self, transition: np.ndarray, sojourn: tuple[tuple[SojournDist | None, ...], ...]):
+        P = np.array(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
         P.flags.writeable = False
-        rows = tuple(tuple(row) for row in self.sojourn)
+        rows = tuple(tuple(row) for row in sojourn)
         if len(rows) != P.shape[0] or any(len(r) != P.shape[0] for r in rows):
             raise ValueError("sojourn table shape must match the transition matrix")
-        object.__setattr__(self, "transition", P)
-        object.__setattr__(self, "sojourn", rows)
+        self.transition = P
+        self.sojourn = rows
 
     @property
     def n_states(self) -> int:
@@ -116,35 +110,27 @@ class SemiMarkovKernel:
         return cumulative
 
 
-@dataclass(frozen=True)
 class CostModel:
     """Per-state running cost rate and terminal cost."""
 
-    rate: np.ndarray
-    terminal: np.ndarray
-
-    def __post_init__(self):
-        for name in ("rate", "terminal"):
-            arr = np.atleast_1d(np.array(getattr(self, name), dtype=float))
+    def __init__(self, rate: np.ndarray, terminal: np.ndarray):
+        for name, values in (("rate", rate), ("terminal", terminal)):
+            arr = np.atleast_1d(np.array(values, dtype=float))
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            setattr(self, name, arr)
 
 
-@dataclass(frozen=True)
 class SMPModel:
     """A finite semi-Markov process with costs and a planning horizon."""
 
-    states: StateSpace
-    kernel: SemiMarkovKernel
-    costs: CostModel
-    horizon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "horizon", float(self.horizon))
+    def __init__(self, states: StateSpace, kernel: SemiMarkovKernel, costs: CostModel, horizon: float):
+        self.states = states
+        self.kernel = kernel
+        self.costs = costs
+        self.horizon = float(horizon)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property
@@ -152,8 +138,7 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class RegularityCheck:
+class RegularityCheck(NamedTuple):
     """Result of the uniform jump-probability bound: sup_x Q(delta, E|x) <= 1 - eps."""
 
     ok: bool

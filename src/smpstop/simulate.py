@@ -15,8 +15,7 @@ or the first jump at or past the horizon, whichever comes first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,8 +61,7 @@ class JumpLimitError(RuntimeError):
     """A sampled path took MAX_JUMPS jumps without reaching its stop or the horizon."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """A sampled jump sequence, generated up to the first jump at or past the horizon
     or, when sampled under a rule, up to the jump where the rule stops.
 
@@ -77,8 +75,7 @@ class Trajectory:
     jump_times: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class StopOutcome:
+class StopOutcome(NamedTuple):
     """Index where a rule fired and whether that happened strictly before the horizon."""
 
     index: int
@@ -96,11 +93,11 @@ class StoppingRule:
         return np.array([self.stops(r, x) for r, x in zip(remaining.tolist(), states.tolist())], dtype=bool)
 
 
-@dataclass(frozen=True)
 class RegionRule(StoppingRule):
     """Stop on first entry of (remaining horizon, state) into a stopping region."""
 
-    region: StoppingRegion
+    def __init__(self, region: StoppingRegion):
+        self.region = region
 
     def stops(self, remaining, state):
         return self.region.contains(remaining, state)
@@ -109,11 +106,11 @@ class RegionRule(StoppingRule):
         return (remaining > 0.0) & self.region.member[self.region.grid.floor_index(remaining), states]
 
 
-@dataclass(frozen=True)
 class PolicyRule(StoppingRule):
     """Stop where a deterministic decision table says to stop."""
 
-    policy: DeterministicMarkovPolicy
+    def __init__(self, policy: DeterministicMarkovPolicy):
+        self.policy = policy
 
     def stops(self, remaining, state):
         if remaining <= 0.0:
@@ -141,7 +138,6 @@ class NeverStop(StoppingRule):
         return np.zeros(len(remaining), dtype=bool)
 
 
-@dataclass(frozen=True)
 class HistoryRule(StoppingRule):
     """Stop when predicate(remaining, states_so_far, sojourns_so_far) holds.
 
@@ -149,11 +145,11 @@ class HistoryRule(StoppingRule):
     decision table, and ``estimate_value`` runs their paths one at a time.
     """
 
-    predicate: Callable[[float, tuple[int, ...], tuple[float, ...]], bool]
+    def __init__(self, predicate: Callable[[float, tuple[int, ...], tuple[float, ...]], bool]):
+        self.predicate = predicate
 
 
-@dataclass(frozen=True)
-class MCReport:
+class MCReport(NamedTuple):
     """Monte-Carlo estimate of the expected cost of a stopping rule."""
 
     n_paths: int
@@ -277,25 +273,33 @@ def estimate_value(model: SMPModel, rule: StoppingRule, x0, n_paths: int, seed: 
     ``trajectory_cost`` on that stream, bit for bit; at most ``_CHUNK``
     paths run at a time (see ``_run_pool``). The mean is reduced in fixed
     path order; a degenerate cost sample is reported exactly (zero
-    standard error).
+    standard error). Costs so large that the mean, its standard error or
+    the 95% interval is not a finite float raise OverflowError.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     x_idx = model.states.index(x0) if isinstance(x0, str) else int(x0)
     if not 0 <= x_idx < len(model.states):
         raise ValueError(f"initial state index {x_idx} out of range")
-    costs, index, before = _run_pool(model, rule, x_idx, seed, n_paths)
-    if float(costs.min()) == float(costs.max()):
-        mean, std_err = float(costs[0]), 0.0
-    else:
-        mean = float(costs.mean())
-        std_err = float(costs.std(ddof=1) / math.sqrt(n_paths))
+    # an overflow shows in the figures checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs, index, before = _run_pool(model, rule, x_idx, seed, n_paths)
+        if float(costs.min()) == float(costs.max()):
+            mean, std_err = float(costs[0]), 0.0
+        else:
+            mean = float(costs.mean())
+            std_err = float(costs.std(ddof=1) / math.sqrt(n_paths))
+    ci95 = (mean - 1.96 * std_err, mean + 1.96 * std_err)
+    if not all(math.isfinite(figure) for figure in (mean, std_err, *ci95)):
+        raise OverflowError(
+            f"the path costs are too large for finite statistics: mean {mean:.6g}, standard error {std_err:.6g}"
+        )
     stop_indices, counts = np.unique(index, return_counts=True)
     return MCReport(
         n_paths=int(n_paths),
         mean=mean,
         std_err=std_err,
-        ci95=(mean - 1.96 * std_err, mean + 1.96 * std_err),
+        ci95=ci95,
         seed=int(seed),
         stopped_before_frac=int(before.sum()) / n_paths,
         stop_histogram=dict(zip(stop_indices.tolist(), counts.tolist())),

@@ -18,11 +18,11 @@ recursion in ``solver`` builds on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .grid import ConvolutionWorkspace, KernelGrid, TimeGrid, ValueGrid, convolve_values, discretize_kernel
 from .model import SMPModel
 
@@ -44,7 +44,6 @@ CONTINUE: int = 0
 STOP: int = 1
 
 
-@dataclass(frozen=True)
 class SMDPModel:
     """Stop/continue decision model over the extended state space E + {rest}.
 
@@ -58,7 +57,8 @@ class SMDPModel:
     * the rest state costs nothing and keeps stopping.
     """
 
-    base: SMPModel
+    def __init__(self, base: SMPModel):
+        self.base = base
 
     @property
     def n_base(self) -> int:
@@ -78,7 +78,6 @@ def build_smdp(model: SMPModel) -> SMDPModel:
     return SMDPModel(base=model)
 
 
-@dataclass(frozen=True)
 class DeterministicMarkovPolicy:
     """Action table on grid nodes; the last column is the rest state.
 
@@ -86,12 +85,9 @@ class DeterministicMarkovPolicy:
     rule never fires once the horizon is spent.
     """
 
-    grid: TimeGrid
-    table: np.ndarray
-
-    def __post_init__(self):
-        tab = np.array(self.table, dtype=np.int8)
-        if tab.ndim != 2 or tab.shape[0] != self.grid.steps + 1 or tab.shape[1] < 2:
+    def __init__(self, grid: TimeGrid, table: np.ndarray):
+        tab = np.array(table, dtype=np.int8)
+        if tab.ndim != 2 or tab.shape[0] != grid.steps + 1 or tab.shape[1] < 2:
             raise ValueError("policy table shape does not match the grid")
         if not np.isin(tab, (CONTINUE, STOP)).all():
             raise ValueError("policy actions must be 0 (continue) or 1 (stop)")
@@ -100,28 +96,34 @@ class DeterministicMarkovPolicy:
         if (tab[0, :-1] != CONTINUE).any():
             raise ValueError("policy must continue at zero remaining horizon")
         tab.flags.writeable = False
-        object.__setattr__(self, "table", tab)
+        self.grid = grid
+        self.table = tab
 
     def action(self, s: float, x: int) -> int:
         """Action at remaining horizon s, read from the nearest node at or below s."""
         return int(self.table[self.grid.floor_index(s), x])
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Iteration diagnostics of a fixed-point solve.
 
     ``next_values`` is the table that one more sweep makes of the solved
     one, the sweep that measured ``residual``; callers that need it read it
-    here instead of sweeping again.
+    here instead of sweeping again. Equality and repr leave it out.
     """
 
-    iterations: int
-    final_diff: float
-    residual: float
-    converged: bool
-    sup_diffs: tuple[float, ...]
-    next_values: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _fields = ("iterations", "final_diff", "residual", "converged", "sup_diffs")
+
+    def __init__(
+        self, iterations: int, final_diff: float, residual: float, converged: bool, sup_diffs: tuple[float, ...],
+        next_values: np.ndarray | None = None,
+    ):
+        self.iterations = iterations
+        self.final_diff = final_diff
+        self.residual = residual
+        self.converged = converged
+        self.sup_diffs = sup_diffs
+        self.next_values = next_values
 
 
 def stop_tolerance(terminal: np.ndarray, eta: float) -> np.ndarray:

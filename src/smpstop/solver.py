@@ -15,8 +15,8 @@ the region in which stopping is optimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class ContractionError(RuntimeError):
     """Jump mass within the horizon reaches 1, so no geometric budget exists."""
 
 
-@dataclass
 class StoppingRegion:
     """Grid subset where stopping is optimal; excludes zero remaining horizon.
 
@@ -64,9 +63,10 @@ class StoppingRegion:
     state x is an up-set reaching the horizon, else None.
     """
 
-    grid: TimeGrid
-    member: np.ndarray
-    boundary: tuple[float | None, ...]
+    def __init__(self, grid: TimeGrid, member: np.ndarray, boundary: tuple[float | None, ...]):
+        self.grid = grid
+        self.member = member
+        self.boundary = boundary
 
     def contains(self, s: float, x: int) -> bool:
         """Membership at remaining horizon s via the nearest node at or below s."""
@@ -75,8 +75,7 @@ class StoppingRegion:
         return bool(self.member[self.grid.floor_index(s), x])
 
 
-@dataclass(frozen=True)
-class EpsBudget:
+class EpsBudget(NamedTuple):
     """Iteration count sufficient for an eps-accurate value under contraction."""
 
     eps: float
@@ -85,9 +84,8 @@ class EpsBudget:
     n_iter: int
 
 
-@dataclass
-class EpsRegionResult:
-    region: "StoppingRegion"
+class EpsRegionResult(NamedTuple):
+    region: StoppingRegion
     iterate: ValueGrid
     refined: ValueGrid
     budget: EpsBudget
@@ -250,11 +248,16 @@ def write_value_csv(v: ValueGrid, states: StateSpace, path) -> None:
     """Rows (s, state, value) for every node and state, 12 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write("s,state,value\n")
+        n = len(states.labels)
+        template = "%s,%s,%.12g\n" * n
+        # one node's arguments: its time, a state's label and that state's value, for each state
+        args = [None] * (3 * n)
+        args[1::3] = states.labels
         values = v.values
         for k, node in enumerate(v.grid.nodes.tolist()):
-            s = "%.12g" % node
-            for label, value in zip(states.labels, values[k].tolist()):
-                fh.write("%s,%s,%.12g\n" % (s, label, value))
+            args[0::3] = ["%.12g" % node] * n
+            args[2::3] = values[k].tolist()
+            fh.write(template % tuple(args))
 
 
 def write_region_csv(region: StoppingRegion, states: StateSpace, path) -> None:
@@ -262,8 +265,12 @@ def write_region_csv(region: StoppingRegion, states: StateSpace, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("s,state,stop\n")
         tails = [("," + label + ",0\n", "," + label + ",1\n") for label in states.labels]
+        # a node's rows are its time joined with the tails of its member row,
+        # which stays the same over long runs of nodes
         member = region.member
+        last = parts = None
         for k, node in enumerate(region.grid.nodes.tolist()):
-            s = "%.12g" % node
-            for tail, stop in zip(tails, member[k].tolist()):
-                fh.write(s + tail[stop])
+            row = member[k].tolist()
+            if row != last:
+                last, parts = row, ["", *(tail[stop] for tail, stop in zip(tails, row))]
+            fh.write(("%.12g" % node).join(parts))

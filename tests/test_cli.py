@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -151,32 +152,57 @@ def test_malformed_model_input_exits_2(tmp_path, capsys, name):
 
 
 def test_check_does_not_load_fft(m1_file):
-    # numpy.fft loads on the first sweep; a model check runs none
+    # numpy.fft loads on the first sweep; a model check runs none. numpy does not
+    # import dataclasses, and the library's records are not dataclasses.
     code = (
         "import sys, smpstop.cli; code = smpstop.cli.main(['check', '--model', sys.argv[1]]); "
-        "print('numpy.fft' in sys.modules); sys.exit(code)"
+        "print('numpy.fft' in sys.modules, 'dataclasses' in sys.modules); sys.exit(code)"
     )
     proc = subprocess.run([sys.executable, "-c", code, str(m1_file)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
-@pytest.mark.parametrize("valid", [True, False])
-def test_the_console_entry_point_writes_what_main_writes(m2_file, tmp_path, capsys, valid):
-    # run() freezes the heap before the interpreter exits, which must change no output
-    model = m2_file if valid else _write_m2_with(tmp_path, lambda d: d["transition"][0].__setitem__(0, math.nan))
-    argv = ["solve", "--model", str(model), "--grid", "64"]
+def _point_mass_sojourns(data):
+    data["sojourn"] = [[None, {"type": "point", "d": 0.5}], [{"type": "point", "d": 0.5}, None]]
+
+
+# id: (model edit, argv, exit code, artifacts written)
+ENTRY_POINT_CASES = {
+    "solve": (None, ("solve",), 0, ["region.csv", "solve_report.json", "value.csv"]),
+    "eps": (None, ("eps", "--eps", "0.01"), 0, ["eps_region.csv", "eps_report.json"]),
+    "simulate": (None, ("simulate", "--rule", "optimal", "--paths", "200", "--x0", "b"), 0, ["mc_report.json"]),
+    "solve-invalid": (lambda d: d["transition"][0].__setitem__(0, math.nan), ("solve",), 2, []),
+    "simulate-overflow": (
+        lambda d: d.__setitem__("cost_rate", [1e300, 1e300]), ("simulate", "--rule", "never", "--paths", "200"), 2, []
+    ),
+    "solve-budget": (None, ("solve", "--tol", "1e-320"), 3, ["region.csv", "solve_report.json", "value.csv"]),
+    "eps-contraction": (_point_mass_sojourns, ("eps", "--eps", "0.01"), 4, []),
+    "simulate-rule": (None, ("simulate", "--rule", "bogus"), 5, []),
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_POINT_CASES)
+def test_the_console_entry_point_writes_what_main_writes(m2_file, tmp_path, capsys, case):
+    # run() flushes stdout and ends the process with os._exit, skipping the
+    # interpreter's teardown. Stdout is a pipe here, block-buffered once
+    # PYTHONUNBUFFERED is unset, so a missing flush would lose the output.
+    edit, argv, expected_code, names = ENTRY_POINT_CASES[case]
+    model = m2_file if edit is None else _write_m2_with(tmp_path, edit)
+    argv = [*argv, "--model", str(model), "--grid", "64"]
     code = run(*argv, "--out", str(tmp_path / "main"))
     stdout = capsys.readouterr().out
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run(
         [sys.executable, "-m", "smpstop.cli", *argv, "--out", str(tmp_path / "process")],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
-    assert code == (0 if valid else 2)
+    assert code == expected_code
+    assert stdout
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
-    names = ["region.csv", "solve_report.json", "value.csv"] if valid else []
     for side in ("main", "process"):
         assert sorted(p.name for p in (tmp_path / side).glob("*")) == names
     for name in names:
@@ -415,6 +441,34 @@ def test_simulate_refuses_jumps_piling_up(tmp_path):
     assert "jumps pile up inside the horizon" in proc.stdout
     assert time.perf_counter() - started < 20.0
     assert not (tmp_path / "o" / "mc_report.json").exists()
+
+
+# finite costs whose Monte-Carlo figures overflow a float: (cost_rate, terminal_cost, rule)
+OVERFLOWING_COSTS = {
+    "std-err": ([1e300, 1e300], [0.5, 0.5], "never"),
+    "mean": ([1.7e308, 0.0], [0.5, 0.5], "never"),
+    "std-err-optimal": ([1e300, 1e300], [1e308, 1e308], "optimal"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", OVERFLOWING_COSTS)
+def test_simulate_costs_too_large_for_finite_figures_exit_2(tmp_path, capsys, case):
+    # before the fix these wrote Infinity or NaN into mc_report.json, after numpy's overflow warnings
+    rate, terminal, rule = OVERFLOWING_COSTS[case]
+
+    def costs(data):
+        data["cost_rate"], data["terminal_cost"] = rate, terminal
+        data["sojourn"][0][1]["rate"], data["sojourn"][1][0]["rate"] = 1.0, 2.0
+
+    path = _write_m2_with(tmp_path, costs)
+    out = tmp_path / "o"
+    assert run("simulate", "--model", str(path), "--rule", rule, "--grid", "64", "--paths", "200", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot simulate this model: the path costs are too large")
+    assert captured.err == ""
+    assert not (out / "mc_report.json").exists()
 
 
 def test_simulate_stops_before_jumps_pile_up(tmp_path):
