@@ -27,22 +27,18 @@ from .model import (
     validate_model,
 )
 from .smdp import (
-    CONTINUE,
-    STOP,
-    DeterministicMarkovPolicy,
     SMDPModel,
     SolveReport,
+    StoppingRegion,
     apply_T,
     build_smdp,
     evaluate_policy,
-    extract_optimal_policy,
     solve_smdp,
 )
 from .solver import (
     ContractionError,
     EpsBudget,
     EpsRegionResult,
-    StoppingRegion,
     ValueGrid,
     apply_G,
     cross_check,
@@ -57,11 +53,9 @@ from .solver import (
 )
 from .simulate import (
     AlwaysStop,
-    HistoryRule,
     JumpLimitError,
     MCReport,
     NeverStop,
-    PolicyRule,
     RegionRule,
     StopOutcome,
     StoppingRule,

@@ -3,11 +3,13 @@
 Exit codes: 0 success, 2 schema or validation failure (also a simulated
 path whose jumps pile up inside the horizon before the rule stops it,
 simulated costs too large for a finite mean, standard error and 95%
-interval, an --eps too small for any iteration budget, and an --out that
-cannot be written), 3 fixed point not reached to --tol within the grid's
+interval, costs too large for a finite value table or bound M, an --eps
+too small for any iteration budget, and an --out that cannot be
+written), 3 fixed point not reached to --tol within the grid's
 steps + 2 sweeps, 4 contraction hypothesis violated, 5 unknown simulation
-rule. Commands raise ``CommandError``; ``main`` alone prints its lines
-and returns its code, and ``run``, the console entry point, exits with it.
+rule. Commands raise ``CommandError``, or ``OverflowError`` from a
+solve; ``main`` alone prints their lines and returns their code, and
+``run``, the console entry point, exits with it.
 """
 
 from __future__ import annotations
@@ -283,6 +285,9 @@ def main(argv=None) -> int:
     except CommandError as err:
         print(*err.lines, sep="\n")
         return err.code
+    except OverflowError as err:  # raised by a solve whose values overflow a float
+        print(f"cannot solve this model: {err}")
+        return EXIT_SCHEMA
 
 
 def run() -> None:

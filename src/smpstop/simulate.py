@@ -1,5 +1,8 @@
 """Seeded Monte-Carlo simulation of semi-Markov paths under stopping rules.
 
+A rule decides at each jump from the remaining horizon and the current
+state; a decision table is a ``StoppingRegion``, and ``RegionRule`` its rule.
+
 Each path owns a counter-based random substream derived from the master
 seed and the path index, so estimates are bit-reproducible for a fixed
 (seed, n_paths) no matter how paths are batched. ``estimate_value`` steps
@@ -15,13 +18,12 @@ or the first jump at or past the horizon, whichever comes first.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import SMPModel
-from .smdp import STOP, DeterministicMarkovPolicy
-from .solver import StoppingRegion
+from .smdp import StoppingRegion
 
 __all__ = [
     "MAX_JUMPS",
@@ -30,10 +32,8 @@ __all__ = [
     "StopOutcome",
     "StoppingRule",
     "RegionRule",
-    "PolicyRule",
     "AlwaysStop",
     "NeverStop",
-    "HistoryRule",
     "MCReport",
     "path_stream",
     "sample_trajectory",
@@ -94,32 +94,16 @@ class StoppingRule:
 
 
 class RegionRule(StoppingRule):
-    """Stop on first entry of (remaining horizon, state) into a stopping region."""
+    """Stop on first entry into a stopping region, read at the node at or below the remaining horizon."""
 
     def __init__(self, region: StoppingRegion):
         self.region = region
 
     def stops(self, remaining, state):
-        return self.region.contains(remaining, state)
+        return remaining > 0.0 and bool(self.region.member[self.region.grid.floor_index(remaining), state])
 
     def stops_many(self, remaining, states):
         return (remaining > 0.0) & self.region.member[self.region.grid.floor_index(remaining), states]
-
-
-class PolicyRule(StoppingRule):
-    """Stop where a deterministic decision table says to stop."""
-
-    def __init__(self, policy: DeterministicMarkovPolicy):
-        self.policy = policy
-
-    def stops(self, remaining, state):
-        if remaining <= 0.0:
-            return False
-        return self.policy.action(remaining, state) == STOP
-
-    def stops_many(self, remaining, states):
-        table = self.policy.table
-        return (remaining > 0.0) & (table[self.policy.grid.floor_index(remaining), states] == STOP)
 
 
 class AlwaysStop(StoppingRule):
@@ -136,17 +120,6 @@ class NeverStop(StoppingRule):
 
     def stops_many(self, remaining, states):
         return np.zeros(len(remaining), dtype=bool)
-
-
-class HistoryRule(StoppingRule):
-    """Stop when predicate(remaining, states_so_far, sojourns_so_far) holds.
-
-    Executable for experimentation; such rules are not reducible to a
-    decision table, and ``estimate_value`` runs their paths one at a time.
-    """
-
-    def __init__(self, predicate: Callable[[float, tuple[int, ...], tuple[float, ...]], bool]):
-        self.predicate = predicate
 
 
 class MCReport(NamedTuple):
@@ -200,7 +173,7 @@ def sample_trajectory(
     x = int(x0)
     elapsed = 0.0
     while elapsed < horizon:
-        if rule is not None and _fires(rule, horizon - elapsed, states, sojourns, len(sojourns)):
+        if rule is not None and rule.stops(horizon - elapsed, x):
             break
         if len(sojourns) == MAX_JUMPS:
             raise JumpLimitError(
@@ -227,18 +200,11 @@ def execute_rule(rule: StoppingRule, traj: Trajectory, horizon: float) -> StopOu
     for n, s_n in enumerate(traj.jump_times):
         if s_n >= horizon:
             return StopOutcome(index=n, stopped_before_horizon=False)
-        if _fires(rule, horizon - s_n, traj.states, traj.sojourns, n):
+        if rule.stops(horizon - s_n, traj.states[n]):
             return StopOutcome(index=n, stopped_before_horizon=True)
     raise RuntimeError(
         "trajectory ends before the horizon and before the rule stops; generate it to the horizon or under this rule"
     )
-
-
-def _fires(rule: StoppingRule, remaining: float, states, sojourns, n: int) -> bool:
-    """Whether the rule stops at jump n with ``remaining`` horizon left, after states[:n + 1] and sojourns[:n]."""
-    if isinstance(rule, HistoryRule):
-        return rule.predicate(remaining, tuple(states[: n + 1]), tuple(sojourns[:n]))
-    return rule.stops(remaining, states[n])
 
 
 def trajectory_cost(traj: Trajectory, outcome: StopOutcome, model: SMPModel) -> float:
@@ -434,13 +400,12 @@ def _run_pool(model: SMPModel, rule: StoppingRule, x0: int, seed: int, n_paths: 
     monotone. So one sum serves both a stop by the rule and a stop at the
     horizon.
 
-    A path that reaches ``lockstep`` jumps without stopping is run again
-    on the one-path route at once. Paths join in path order and all take
-    the same number of lock-step jumps, so they reach the hand-off in path
-    order too, and the lowest-index path whose jumps pile up raises
-    ``JumpLimitError`` first, after one pool's lock-step jumps and one
-    path. A ``HistoryRule`` reads whole histories, so its ``lockstep`` is 0
-    and all its paths take the one-path route.
+    A path that reaches ``_LOCKSTEP_JUMPS`` jumps (at most ``MAX_JUMPS``)
+    without stopping is run again on the one-path route at once. Paths
+    join in path order and all take the same number of lock-step jumps, so
+    they reach the hand-off in path order too, and the lowest-index path
+    whose jumps pile up raises ``JumpLimitError`` first, after one pool's
+    lock-step jumps and one path.
     """
     costs = np.empty(n_paths)
     index = np.empty(n_paths, dtype=np.int64)
@@ -448,22 +413,9 @@ def _run_pool(model: SMPModel, rule: StoppingRule, x0: int, seed: int, n_paths: 
     n = len(model.states)
     horizon = model.horizon
     rate, terminal = model.costs.rate, model.costs.terminal
-    lockstep = 0 if isinstance(rule, HistoryRule) else min(_LOCKSTEP_JUMPS, MAX_JUMPS)
-
-    def one_path(i: int) -> None:
-        traj = sample_trajectory(model, x0, path_stream(seed, i), rule)
-        # sampled under the rule, the trajectory ends at its stop, which execute_rule would find again
-        outcome = StopOutcome(index=len(traj.sojourns), stopped_before_horizon=traj.jump_times[-1] < horizon)
-        costs[i] = trajectory_cost(traj, outcome, model)
-        index[i], before[i] = outcome.index, outcome.stopped_before_horizon
-
-    # jump 0: the horizon, the hand-off, the rule
+    # jump 0: the horizon, then the rule
     if not 0.0 < horizon:
         costs[:], index[:], before[:] = 0.0, 0, False
-        return costs, index, before
-    if lockstep == 0:
-        for i in range(n_paths):
-            one_path(i)
         return costs, index, before
     if rule.stops_many(np.array([horizon]), np.array([x0]))[0]:
         costs[:], index[:], before[:] = 0.0 + terminal[x0], 0, True
@@ -497,10 +449,14 @@ def _run_pool(model: SMPModel, rule: StoppingRule, x0: int, seed: int, n_paths: 
         if rows.size < path.size:
             ended = np.flatnonzero(~live)
             costs[path[ended]], index[path[ended]], before[path[ended]] = running[ended], jumps[ended], False
-        due = jumps[rows] == lockstep
+        due = jumps[rows] == min(_LOCKSTEP_JUMPS, MAX_JUMPS)
         if due.any():
             for i in path[rows[due]].tolist():
-                one_path(i)
+                traj = sample_trajectory(model, x0, path_stream(seed, i), rule)
+                # sampled under the rule, the trajectory ends at its stop, which execute_rule would find again
+                outcome = StopOutcome(index=len(traj.sojourns), stopped_before_horizon=traj.jump_times[-1] < horizon)
+                costs[i] = trajectory_cost(traj, outcome, model)
+                index[i], before[i] = outcome.index, outcome.stopped_before_horizon
             rows = rows[~due]
         stops = rule.stops_many(horizon - elapsed[rows], x[rows])
         fired, rows = rows[stops], rows[~stops]

@@ -1,13 +1,11 @@
 """Two-action stop/continue decision process attached to a semi-Markov model.
 
-The state space gains an absorbing rest state. Continuing runs the original
-kernel and pays the running cost; stopping pays the terminal cost and parks
-the process in the rest state with a sojourn longer than any horizon, so no
-further cost can accrue. Value iteration on this process computes the
-minimal expected cost over all stop/continue strategies, the argmin yields
-an optimal decision table, and a fixed table can be evaluated the same way.
-``_t_sweep`` and ``_policy_sweep`` compute the process on whole tables; the
-tests keep a pointwise, per-action copy of it as their reference.
+Value iteration on the process (``SMDPModel``) computes the minimal
+expected cost over all stop/continue strategies. Its rest state admits only
+the stop action, so a Markov decision table is a stop set over (node, base
+state), a ``StoppingRegion``, and ``evaluate_policy`` computes its cost the
+same way. ``_t_sweep`` runs the process on whole tables; the tests keep a
+pointwise, per-action copy of it as their reference.
 
 This module also holds the library's one value-iteration loop
 (``_fixed_point``), which every solve and ``eps_region`` runs, the one
@@ -18,6 +16,8 @@ recursion in ``solver`` builds on them.
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,21 +27,14 @@ from .grid import ConvolutionWorkspace, KernelGrid, TimeGrid, ValueGrid, convolv
 from .model import SMPModel
 
 __all__ = [
-    "CONTINUE",
-    "STOP",
     "SMDPModel",
-    "DeterministicMarkovPolicy",
     "SolveReport",
+    "StoppingRegion",
     "build_smdp",
     "apply_T",
     "solve_smdp",
-    "extract_optimal_policy",
     "evaluate_policy",
-    "stop_tolerance",
 ]
-
-CONTINUE: int = 0
-STOP: int = 1
 
 
 class SMDPModel:
@@ -78,30 +71,22 @@ def build_smdp(model: SMPModel) -> SMDPModel:
     return SMDPModel(base=model)
 
 
-class DeterministicMarkovPolicy:
-    """Action table on grid nodes; the last column is the rest state.
+class StoppingRegion:
+    """Grid subset ``member[node, base state]`` where a rule stops: the one decision table.
 
-    Base states continue at zero remaining horizon, so the induced stopping
-    rule never fires once the horizon is spent.
+    ``boundary[x]`` is the earliest member node time when the section of
+    state x is an up-set reaching the horizon, else None.
     """
 
-    def __init__(self, grid: TimeGrid, table: np.ndarray):
-        tab = np.array(table, dtype=np.int8)
-        if tab.ndim != 2 or tab.shape[0] != grid.steps + 1 or tab.shape[1] < 2:
-            raise ValueError("policy table shape does not match the grid")
-        if not np.isin(tab, (CONTINUE, STOP)).all():
-            raise ValueError("policy actions must be 0 (continue) or 1 (stop)")
-        if (tab[:, -1] != STOP).any():
-            raise ValueError("the rest state admits only the stop action")
-        if (tab[0, :-1] != CONTINUE).any():
-            raise ValueError("policy must continue at zero remaining horizon")
-        tab.flags.writeable = False
+    def __init__(self, grid: TimeGrid, member: np.ndarray):
+        member = np.asarray(member, dtype=bool)
+        if member.ndim != 2 or member.shape[0] != grid.steps + 1 or member.shape[1] < 1:
+            raise ValueError(f"member has shape {member.shape}; it needs {grid.steps + 1} rows, one per grid node")
         self.grid = grid
-        self.table = tab
-
-    def action(self, s: float, x: int) -> int:
-        """Action at remaining horizon s, read from the nearest node at or below s."""
-        return int(self.table[self.grid.floor_index(s), x])
+        self.member = member
+        first = member.argmax(axis=0)  # each section's first member node, 0 if it has none
+        upset = member.sum(axis=0) == len(member) - first  # every node from there on, none before
+        self.boundary = tuple(float(grid.nodes[k]) if ok else None for k, ok in zip(first.tolist(), upset.tolist()))
 
 
 class SolveReport(Record):
@@ -124,11 +109,6 @@ class SolveReport(Record):
         self.converged = converged
         self.sup_diffs = sup_diffs
         self.next_values = next_values
-
-
-def stop_tolerance(terminal: np.ndarray, eta: float) -> np.ndarray:
-    """Per-state tolerance eta * (1 + g(x)) for value-equals-stop-payoff tests."""
-    return eta * (1.0 + terminal)
 
 
 class _Workspace(ConvolutionWorkspace):
@@ -173,7 +153,9 @@ def _fixed_point(
     residual is re-verified with one extra sweep, whose table the report
     keeps as ``next_values``. A ``kg`` discretized from ``model.kernel`` on
     ``grid`` is used as given, so solves on one grid can share one
-    discretization; one from another kernel or grid is rejected.
+    discretization; one from another kernel or grid is rejected. A table or
+    residual sweep that is not finite (an overflow, or the NaN it leads to)
+    raises OverflowError once the loop ends.
 
     ``sweep(kg, values, out, ws)`` writes the sweep of ``values`` into
     ``out`` and returns it; ``ws`` is the solve's workspace. The loop holds
@@ -191,17 +173,22 @@ def _fixed_point(
     spare = np.empty_like(values)
     scratch = np.empty_like(values)
     diffs: list[float] = []
-    for _ in range(grid.steps + 2 if sweeps is None else sweeps):
-        nxt = sweep(kg, values, spare, ws)
-        diffs.append(_sup_diff(nxt, values, scratch))
-        values, spare = nxt, values
-        if sweeps is None and diffs[-1] <= tol:
-            break
-    swept = sweep(kg, values, spare, ws)
+    # an overflow shows in the residual: a non-finite entry in either table makes it inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(grid.steps + 2 if sweeps is None else sweeps):
+            nxt = sweep(kg, values, spare, ws)
+            diffs.append(_sup_diff(nxt, values, scratch))
+            values, spare = nxt, values
+            if sweeps is None and diffs[-1] <= tol:
+                break
+        swept = sweep(kg, values, spare, ws)
+        residual = _sup_diff(swept, values, scratch)
+    if not math.isfinite(residual):
+        raise OverflowError("the values overflow a float; the model's costs are too large")
     report = SolveReport(
         iterations=len(diffs),
         final_diff=diffs[-1],
-        residual=_sup_diff(swept, values, scratch),
+        residual=residual,
         converged=diffs[-1] <= tol,
         sup_diffs=tuple(diffs),
         next_values=swept,
@@ -219,24 +206,17 @@ def _continuation(model: SMPModel, kg: KernelGrid, values: np.ndarray, out: np.n
 
 
 def _t_sweep(
-    sm: SMDPModel, kg: KernelGrid, values: np.ndarray, out: np.ndarray | None = None, ws: _Workspace | None = None
+    sm: SMDPModel, kg: KernelGrid, values: np.ndarray, out: np.ndarray | None = None, ws: _Workspace | None = None,
+    stop: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One sweep of the minimum-cost operator, into ``out`` (a new table by default)."""
+    """One sweep into ``out`` (a new table by default): the minimum-cost operator, or the table stopping on ``stop``."""
     if out is None:
         out = np.empty_like(values)
-    base = out[:, : sm.n_base]
-    cont = _continuation(sm.base, kg, values, base, ws or _Workspace(sm.base, kg))
-    np.minimum(cont, sm.base.costs.terminal[None, :], out=base)
-    out[:, sm.n_base] = 0.0
-    return out
-
-
-def _policy_sweep(
-    sm: SMDPModel, kg: KernelGrid, stop: np.ndarray, values: np.ndarray, out: np.ndarray, ws: _Workspace
-) -> np.ndarray:
-    """One sweep of a fixed decision table, whose base-state stop cells are ``stop``, into ``out``."""
-    base = _continuation(sm.base, kg, values, out[:, : sm.n_base], ws)
-    np.copyto(base, sm.base.costs.terminal, where=stop)
+    base = _continuation(sm.base, kg, values, out[:, : sm.n_base], ws or _Workspace(sm.base, kg))
+    if stop is None:
+        np.minimum(base, sm.base.costs.terminal[None, :], out=base)
+    else:
+        np.copyto(base[1:], sm.base.costs.terminal, where=stop[1:])  # never with no horizon left
     out[:, sm.n_base] = 0.0
     return out
 
@@ -257,31 +237,12 @@ def solve_smdp(
     optional shared ``kg`` are those of ``_fixed_point``. The rest-state
     column stays zero.
     """
-    return _fixed_point(sm.base, grid, sm.n_states, lambda kg, v, out, ws: _t_sweep(sm, kg, v, out, ws), tol, kg)
+    return _fixed_point(sm.base, grid, sm.n_states, partial(_t_sweep, sm), tol, kg)
 
 
-def extract_optimal_policy(sm: SMDPModel, u: ValueGrid, eta: float = 1e-6) -> DeterministicMarkovPolicy:
-    """Stop wherever the solved value already equals the stop payoff.
+def evaluate_policy(sm: SMDPModel, region: StoppingRegion, tol: float = 1e-9) -> tuple[ValueGrid, SolveReport]:
+    """Expected cost of the decision table that stops on ``region``'s members, on its grid.
 
-    Equality is tested with tolerance eta * (1 + g(x)); ties prefer
-    stopping. At zero remaining horizon the policy always continues, so the
-    result induces a stopping rule that never fires with the horizon spent.
+    No rule stops with no horizon left, so node 0 never stops, whatever ``region`` holds there.
     """
-    n = sm.n_base
-    g = sm.base.costs.terminal
-    threshold = g - stop_tolerance(g, eta)
-    table = np.zeros((u.grid.steps + 1, sm.n_states), dtype=np.int8)
-    table[:, :n] = np.where(u.values[:, :n] >= threshold[None, :], STOP, CONTINUE)
-    table[0, :n] = CONTINUE
-    table[:, n] = STOP
-    return DeterministicMarkovPolicy(grid=u.grid, table=table)
-
-
-def evaluate_policy(
-    sm: SMDPModel, policy: DeterministicMarkovPolicy, tol: float = 1e-9
-) -> tuple[ValueGrid, SolveReport]:
-    """Expected cost of following a fixed decision table, on the policy's grid."""
-    stop = policy.table[:, : sm.n_base] == STOP
-    return _fixed_point(
-        sm.base, policy.grid, sm.n_states, lambda kg, v, out, ws: _policy_sweep(sm, kg, stop, v, out, ws), tol
-    )
+    return _fixed_point(sm.base, region.grid, sm.n_states, partial(_t_sweep, sm, stop=region.member), tol)

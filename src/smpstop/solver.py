@@ -24,19 +24,18 @@ from .grid import KernelGrid, TimeGrid, ValueGrid, discretize_kernel
 from .model import SMPModel, StateSpace, contraction_factor
 from .smdp import (
     SolveReport,
+    StoppingRegion,
     _continuation,
     _fixed_point,
     _Workspace,
     apply_T,
     build_smdp,
     solve_smdp,
-    stop_tolerance,
 )
 
 __all__ = [
     "ContractionError",
     "ValueGrid",
-    "StoppingRegion",
     "EpsBudget",
     "EpsRegionResult",
     "apply_G",
@@ -54,25 +53,6 @@ __all__ = [
 
 class ContractionError(RuntimeError):
     """Jump mass within the horizon reaches 1, so no geometric budget exists."""
-
-
-class StoppingRegion:
-    """Grid subset where stopping is optimal; excludes zero remaining horizon.
-
-    ``boundary[x]`` is the earliest member node time when the section of
-    state x is an up-set reaching the horizon, else None.
-    """
-
-    def __init__(self, grid: TimeGrid, member: np.ndarray, boundary: tuple[float | None, ...]):
-        self.grid = grid
-        self.member = member
-        self.boundary = boundary
-
-    def contains(self, s: float, x: int) -> bool:
-        """Membership at remaining horizon s via the nearest node at or below s."""
-        if s <= 0.0:
-            return False
-        return bool(self.member[self.grid.floor_index(s), x])
 
 
 class EpsBudget(NamedTuple):
@@ -115,11 +95,8 @@ def solve_value(
     """Iterate the stopping recursion from zero up to the value function.
 
     Iterates are pointwise nondecreasing and bounded by min(g(x), s * max c).
-    The loop and its report are those of ``smdp._fixed_point``: it stops at
-    a sup-norm step of ``tol``, or flags non-convergence after the
-    ``grid.steps + 2`` sweeps that reach the grid's fixed point, and
-    re-verifies the fixed-point residual with one extra sweep. A ``kg``
-    discretized on ``grid`` is used instead of discretizing the kernel again.
+    The loop, its report and the optional shared ``kg`` are those of
+    ``smdp._fixed_point``.
     """
     return _fixed_point(model, grid, len(model.states), partial(_g_sweep, model), tol, kg)
 
@@ -127,22 +104,14 @@ def solve_value(
 def stopping_region(v: ValueGrid, model: SMPModel, eta: float = 1e-6) -> StoppingRegion:
     """Nodes where the value meets the stop payoff within eta * (1 + g(x)).
 
-    Zero remaining horizon is never a member. A per-state boundary time is
-    reported only when membership, scanned over the grid, is an up-set that
-    reaches the horizon.
+    Only the base-state columns of ``v`` are read, so ``solve_smdp``'s
+    table, with its rest-state column, gives the same region as
+    ``solve_value``'s. Zero remaining horizon is never a member.
     """
     g = model.costs.terminal
-    member = v.values >= (g - stop_tolerance(g, eta))[None, :]
+    member = v.values[:, : len(g)] >= (g - eta * (1.0 + g))[None, :]
     member[0, :] = False
-    nodes = v.grid.nodes
-    boundary: list[float | None] = []
-    for x in range(len(model.states)):
-        hits = np.flatnonzero(member[:, x])
-        if hits.size and member[hits[0] :, x].all():
-            boundary.append(float(nodes[hits[0]]))
-        else:
-            boundary.append(None)
-    return StoppingRegion(grid=v.grid, member=member, boundary=tuple(boundary))
+    return StoppingRegion(grid=v.grid, member=member)
 
 
 def iteration_budget(model: SMPModel, eps: float) -> EpsBudget:
@@ -151,13 +120,16 @@ def iteration_budget(model: SMPModel, eps: float) -> EpsBudget:
     M = T * max c + max g bounds every iterate, and successive differences
     shrink geometrically at rate beta = sup_x Q(T, E|x); N iterations leave
     a tail of at most eps. Kernels with beta >= 1 have no such budget and
-    raise ContractionError. The count is floored at one sweep, and an eps
-    so small that eps (1 - beta) underflows to zero raises ValueError.
+    raise ContractionError. The count is floored at one sweep. An M that
+    overflows a float, or an eps so small that eps (1 - beta) underflows to
+    zero, raises ValueError.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     beta = contraction_factor(model)
     m_bound = model.horizon * float(model.costs.rate.max()) + float(model.costs.terminal.max())
+    if not math.isfinite(m_bound):
+        raise ValueError("the bound M = T * max c + max g overflows a float; the model's costs are too large")
     if beta >= 1.0:
         raise ContractionError(f"sup_x Q(T, E|x) = {beta:.12g}; the budget needs a value below 1")
     n_iter = 1

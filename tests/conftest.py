@@ -9,18 +9,15 @@ from hypothesis import settings
 import smpstop.grid
 import smpstop.smdp
 from smpstop import (
-    CONTINUE,
-    STOP,
     CostModel,
-    DeterministicMarkovPolicy,
     Exponential,
-    HistoryRule,
     KernelGrid,
     PointMass,
     SemiMarkovKernel,
     SMDPModel,
     SMPModel,
     StateSpace,
+    StoppingRegion,
     StoppingRule,
     TimeGrid,
     Uniform,
@@ -80,7 +77,9 @@ def reference_fft_convolve_values(kg, v: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The decision process one action at a time: the pointwise reference for
-# smdp's whole-table sweeps (_t_sweep, _policy_sweep).
+# smdp's whole-table sweep (_t_sweep).
+
+CONTINUE, STOP = 0, 1
 
 
 def actions(sm: SMDPModel, x: int) -> tuple[int, ...]:
@@ -149,20 +148,18 @@ def apply_T_action(
     return cost_rate(sm, x, CONTINUE) * float(kg.survival[x, k]) + conv
 
 
-def policy_from_rule(rule: StoppingRule, model: SMPModel, grid: TimeGrid) -> DeterministicMarkovPolicy:
-    """Materialize a Markov stopping rule as a decision table on the grid.
+def region_from_rule(rule: StoppingRule, model: SMPModel, grid: TimeGrid) -> StoppingRegion:
+    """Materialize a Markov stopping rule as its stop set on the grid.
 
-    The round trip rule -> policy -> induced rule reproduces the stop
-    decision at every grid node. History-dependent rules are rejected.
+    The round trip rule -> region -> ``RegionRule`` reproduces the stop
+    decision at every grid node. Node 0, zero remaining horizon, is never
+    a member.
     """
-    if isinstance(rule, HistoryRule):
-        raise ValueError("history-dependent rules cannot be reduced to a decision table")
     n = len(model.states)
-    table = np.full((grid.steps + 1, n + 1), STOP, dtype=np.int8)
+    member = np.zeros((grid.steps + 1, n), dtype=bool)
     stops = rule.stops_many(np.repeat(grid.nodes[1:], n), np.tile(np.arange(n), grid.steps))
-    table[1:, :n] = np.where(stops.reshape(grid.steps, n), STOP, CONTINUE)
-    table[0, :n] = CONTINUE
-    return DeterministicMarkovPolicy(grid=grid, table=table)
+    member[1:] = stops.reshape(grid.steps, n)
+    return StoppingRegion(grid=grid, member=member)
 
 
 @contextlib.contextmanager
@@ -364,20 +361,18 @@ def sparse_random_model(rng: np.random.Generator, n_states: int) -> SMPModel:
     return SMPModel(model.states, SemiMarkovKernel(P, tuple(map(tuple, sojourn))), model.costs, model.horizon)
 
 
-def make_random_policy(rng: np.random.Generator, n_base: int, grid) -> DeterministicMarkovPolicy:
-    """Random admissible decision table that continues at zero remaining horizon.
+def make_random_policy(rng: np.random.Generator, n_base: int, grid) -> StoppingRegion:
+    """Random decision table, as its stop set, that never stops at zero remaining horizon.
 
     Half of the draws are i.i.d. coin flips per node, half are per-state
     threshold policies (stop from a random node onward, possibly never).
     """
     steps = grid.steps
-    table = np.zeros((steps + 1, n_base + 1), dtype=np.int8)
-    table[:, n_base] = 1
+    member = np.zeros((steps + 1, n_base), dtype=bool)
     if rng.random() < 0.5:
-        table[1:, :n_base] = (rng.random((steps, n_base)) < 0.5).astype(np.int8)
+        member[1:] = rng.random((steps, n_base)) < 0.5
     else:
         for x in range(n_base):
             first = int(rng.integers(1, steps + 2))
-            if first <= steps:
-                table[first:, x] = 1
-    return DeterministicMarkovPolicy(grid=grid, table=table)
+            member[first:, x] = True
+    return StoppingRegion(grid=grid, member=member)

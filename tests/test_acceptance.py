@@ -19,14 +19,13 @@ from smpstop import (
     estimate_value,
     eps_region,
     evaluate_policy,
-    extract_optimal_policy,
     iteration_budget,
     save_model,
     solve_smdp,
     solve_value,
     stopping_region,
 )
-from smpstop.simulate import AlwaysStop, NeverStop, PolicyRule, RegionRule
+from smpstop.simulate import AlwaysStop, NeverStop, RegionRule
 from smpstop.smdp import _fixed_point
 from smpstop.solver import _g_sweep
 from conftest import (
@@ -149,8 +148,7 @@ def test_criterion_05_policy_dominance(m1, m2):
             gap = float(np.min(evaluated.values - u.values))
             worst_gap = min(worst_gap, gap)
             assert np.all(evaluated.values >= u.values - 1e-9)
-        best = extract_optimal_policy(sm, u)
-        attained, _ = evaluate_policy(sm, best, tol=1e-12)
+        attained, _ = evaluate_policy(sm, stopping_region(u, model), tol=1e-12)
         attain = float(np.max(np.abs(attained.values - u.values)))
         worst_attain = max(worst_attain, attain)
         assert attain <= 1e-9
@@ -207,7 +205,7 @@ def test_criterion_08_induced_stopping_times_match_policy_values(m1, m2):
             policy = make_random_policy(rng, sm.n_base, grid)
             expected, _ = evaluate_policy(sm, policy, tol=1e-12)
             x0 = model.states.labels[trial % len(model.states.labels)]
-            mc = estimate_value(model, PolicyRule(policy), x0, n_paths, seed=900 + trial)
+            mc = estimate_value(model, RegionRule(policy), x0, n_paths, seed=900 + trial)
             dp = expected.value(model.horizon, model.states.index(x0))
             margin = abs(mc.mean - dp) - 3.0 * mc.std_err
             worst_margin = max(worst_margin, margin)

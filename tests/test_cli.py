@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -167,6 +168,10 @@ def _point_mass_sojourns(data):
     data["sojourn"] = [[None, {"type": "point", "d": 0.5}], [{"type": "point", "d": 0.5}, None]]
 
 
+def _largest_costs(data):
+    data["cost_rate"] = data["terminal_cost"] = [1.7e308, 1.7e308]
+
+
 # id: (model edit, argv, exit code, artifacts written)
 ENTRY_POINT_CASES = {
     "solve": (None, ("solve",), 0, ["region.csv", "solve_report.json", "value.csv"]),
@@ -176,6 +181,8 @@ ENTRY_POINT_CASES = {
     "simulate-overflow": (
         lambda d: d.__setitem__("cost_rate", [1e300, 1e300]), ("simulate", "--rule", "never", "--paths", "200"), 2, []
     ),
+    "solve-overflow": (_largest_costs, ("solve",), 2, []),
+    "eps-overflow": (_largest_costs, ("eps", "--eps", "0.01"), 2, []),
     "solve-budget": (None, ("solve", "--tol", "1e-320"), 3, ["region.csv", "solve_report.json", "value.csv"]),
     "eps-contraction": (_point_mass_sojourns, ("eps", "--eps", "0.01"), 4, []),
     "simulate-rule": (None, ("simulate", "--rule", "bogus"), 5, []),
@@ -469,6 +476,97 @@ def test_simulate_costs_too_large_for_finite_figures_exit_2(tmp_path, capsys, ca
     assert len(lines) == 1 and lines[0].startswith("cannot simulate this model: the path costs are too large")
     assert captured.err == ""
     assert not (out / "mc_report.json").exists()
+
+
+def extreme_cost_model(tmp_path, rate, terminal):
+    """Two swapping states, exponential one way and Weibull the other, with the given costs."""
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({
+        "states": ["a", "b"], "T": 1.0, "transition": [[0.0, 1.0], [1.0, 0.0]],
+        "sojourn": [[None, {"type": "exp", "rate": 2.0}], [{"type": "weibull", "shape": 1.5, "scale": 0.8}, None]],
+        "cost_rate": rate, "terminal_cost": terminal,
+    }))
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve",), "cannot solve this model: the values overflow a float"),
+        (("eps", "--eps", "0.01"), "no iteration budget for --eps: the bound M = T * max c + max g overflows a float"),
+        (("simulate", "--rule", "optimal"), "cannot solve this model: the values overflow a float"),
+        (("simulate", "--rule", "eps", "--eps", "0.01"), "no iteration budget for --eps: the bound M"),
+    ],
+    ids=["solve", "eps", "simulate-optimal", "simulate-eps"],
+)
+def test_costs_too_large_for_finite_values_exit_2(tmp_path, capsys, argv, message):
+    # before the fix solve wrote NaN values and residuals (exit 3), and eps ended in an OverflowError traceback
+    path = extreme_cost_model(tmp_path, [1.7e308, 1.7e308], [1.7e308, 1.7e308])
+    out = tmp_path / "o"
+    assert run(*argv, "--model", str(path), "--grid", "64", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert captured.err == ""
+    assert not out.exists()
+
+
+def _finite_json(text: str) -> None:
+    def constant(name):
+        raise AssertionError(f"non-finite {name} in JSON")
+
+    def walk(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, float):
+            assert math.isfinite(node)
+
+    walk(json.loads(text, parse_constant=constant))
+
+
+def _finite_csv(text: str) -> None:
+    for row in list(csv.reader(text.splitlines()))[1:]:
+        for cell in row:
+            try:
+                number = float(cell)
+            except ValueError:
+                continue  # a state label
+            assert math.isfinite(number), row
+
+
+# (cost_rate, terminal_cost)
+EXTREME_COSTS = {
+    "rates-1e300": ([1e300, 1e300], [0.3, 1.0]),
+    "rate-1.7e308": ([1.7e308, 0.0], [0.3, 1.0]),
+    "all-1.7e308": ([1.7e308, 1.7e308], [1.7e308, 1.7e308]),
+    # M = 1e308 is finite, but the sweeps overflow
+    "all-5e307": ([5e307, 5e307], [5e307, 5e307]),
+}
+EXTREME_COMMANDS = {
+    "check": ("check",),
+    "solve": ("solve",),
+    "eps": ("eps", "--eps", "0.01"),
+    "simulate-optimal": ("simulate", "--rule", "optimal", "--paths", "200"),
+    "simulate-never": ("simulate", "--rule", "never", "--paths", "200"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", EXTREME_COMMANDS)
+@pytest.mark.parametrize("costs", EXTREME_COSTS)
+def test_extreme_costs_give_no_traceback_and_finite_artifacts(tmp_path, capsys, costs, command):
+    # a numpy warning is an error here, and an exception would leave main as a traceback
+    path = extreme_cost_model(tmp_path, *EXTREME_COSTS[costs])
+    out = tmp_path / "o"
+    code = run(*EXTREME_COMMANDS[command], "--model", str(path), "--grid", "64", "--out", str(out))
+    assert code in {0, 2, 3, 4, 5}
+    assert capsys.readouterr().err == ""
+    for artifact in out.glob("*") if out.exists() else ():
+        (_finite_json if artifact.suffix == ".json" else _finite_csv)(artifact.read_text())
 
 
 def test_simulate_stops_before_jumps_pile_up(tmp_path):

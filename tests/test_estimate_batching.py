@@ -18,11 +18,9 @@ from smpstop import (
     AlwaysStop,
     CostModel,
     Exponential,
-    HistoryRule,
     MCReport,
     NeverStop,
     PointMass,
-    PolicyRule,
     RegionRule,
     SemiMarkovKernel,
     SMPModel,
@@ -102,13 +100,11 @@ def reference_report(model, rule, x0, n_paths, seed) -> MCReport:
 def rules_for(model: SMPModel) -> dict[str, StoppingRule]:
     grid = TimeGrid(model.horizon, 64)
     v, _ = solve_value(model, grid, tol=1e-9)
-    policy = make_random_policy(np.random.default_rng(5), len(model.states), grid)
     return {
         "region": RegionRule(stopping_region(v, model)),
-        "policy": PolicyRule(policy),
+        "random_table": RegionRule(make_random_policy(np.random.default_rng(5), len(model.states), grid)),
         "always": AlwaysStop(),
         "never": NeverStop(),
-        "history": HistoryRule(lambda remaining, states, sojourns: len(sojourns) >= 2 and states[-1] != states[0]),
         "fallback": OddRemaining(),
     }
 
@@ -155,11 +151,11 @@ def test_streams_draw_for_a_subset_of_rows():
 def everywhere_rules(grid: TimeGrid, n: int) -> dict[str, StoppingRule]:
     """A region that stops at every node, zero remaining horizon included."""
     return {
-        "full_region": RegionRule(StoppingRegion(grid, np.ones((grid.steps + 1, n), dtype=bool), (None,) * n)),
+        "full_region": RegionRule(StoppingRegion(grid, np.ones((grid.steps + 1, n), dtype=bool))),
     }
 
 
-@pytest.mark.parametrize("name", ["region", "policy", "always", "never", "fallback", "full_region"])
+@pytest.mark.parametrize("name", ["region", "random_table", "always", "never", "fallback", "full_region"])
 def test_stops_many_matches_stops(name):
     model = edge_case_model()
     grid = TimeGrid(model.horizon, 64)
@@ -175,7 +171,7 @@ def test_stops_many_matches_stops(name):
 # reports: independent of the chunk size, equal to the one-path route
 
 
-@pytest.mark.parametrize("name", ["region", "policy", "always", "never", "history", "fallback"])
+@pytest.mark.parametrize("name", ["region", "random_table", "always", "never", "fallback"])
 @pytest.mark.parametrize("make_model", [two_state_model, edge_case_model])
 def test_report_is_independent_of_chunk_size(make_model, name, monkeypatch):
     model = make_model()
@@ -203,7 +199,7 @@ def test_edge_case_model_redraws_zero_sojourns():
     assert redrawn > 0
 
 
-@pytest.mark.parametrize("name", ["region", "history"])
+@pytest.mark.parametrize("name", ["region"])
 def test_paths_handed_to_the_one_path_route(name, monkeypatch):
     # with a lock-step budget of two jumps most paths finish on the one-path route
     model = edge_case_model()
@@ -295,7 +291,7 @@ class StopIn(StoppingRule):
         return (remaining > 0.0) & (states == self.state)
 
 
-@pytest.mark.parametrize("lockstep", [0, 1, 256])
+@pytest.mark.parametrize("lockstep", [1, 256])
 def test_a_stopped_path_is_not_simulated_further(lockstep, monkeypatch):
     # the jumps pile up after the stop, so a path simulated past it would reach MAX_JUMPS
     model = piling_up_model()
@@ -307,11 +303,10 @@ def test_a_stopped_path_is_not_simulated_further(lockstep, monkeypatch):
         assert report.std_err == 0.0
         assert report.stop_histogram == {0: n_paths}
         assert report.stopped_before_frac == 1.0
-    for rule in (StopIn(0), HistoryRule(lambda r, xs, ts: xs[-1] == 0)):
-        report = sim.estimate_value(model, rule, "b", n_paths, 2)
-        assert report.mean == model.costs.terminal[0]  # g(a); a sojourn of 1e-300 adds nothing
-        assert report.stop_histogram == {1: n_paths}
-        assert report.stopped_before_frac == 1.0
+    report = sim.estimate_value(model, StopIn(0), "b", n_paths, 2)
+    assert report.mean == model.costs.terminal[0]  # g(a); a sojourn of 1e-300 adds nothing
+    assert report.stop_histogram == {1: n_paths}
+    assert report.stopped_before_frac == 1.0
 
 
 def test_the_engine_makes_only_the_blocks_its_paths_use(monkeypatch):
@@ -417,10 +412,10 @@ def test_the_pool_refills_as_paths_leave(model_seed, monkeypatch):
     # loop this replaced ran each chunk until its slowest path ended
     rng = np.random.default_rng(model_seed)
     model = make_random_model(rng, n_states=4)
-    policy = make_random_policy(rng, build_smdp(model).n_base, TimeGrid(model.horizon, 32))
+    region = make_random_policy(rng, build_smdp(model).n_base, TimeGrid(model.horizon, 32))
     monkeypatch.setattr(sim, "_CHUNK", 16)
     steps = counted_steps(monkeypatch)
-    for rule in (NeverStop(), PolicyRule(policy)):
+    for rule in (NeverStop(), RegionRule(region)):
         steps.clear()
         report = sim.estimate_value(model, rule, "s0", 2000, model_seed)
         jumps = sum(k * count for k, count in report.stop_histogram.items())
@@ -435,7 +430,7 @@ def test_zero_horizon_paths_end_at_once():
         costs=CostModel(np.array([1.0]), np.array([0.5])),
         horizon=0.0,
     )
-    for rule in (AlwaysStop(), NeverStop(), HistoryRule(lambda r, xs, ts: True)):
+    for rule in (AlwaysStop(), NeverStop()):
         report = sim.estimate_value(model, rule, "a", 5, 1)
         assert report == reference_report(model, rule, "a", 5, 1)
         assert report.stop_histogram == {0: 5}
@@ -452,7 +447,7 @@ def test_random_models_match_the_one_path_route(seed):
     rng = np.random.default_rng(seed)
     model = make_random_model(rng)
     grid = TimeGrid(model.horizon, 32)
-    policy = make_random_policy(rng, build_smdp(model).n_base, grid)
+    region = make_random_policy(rng, build_smdp(model).n_base, grid)
     x0 = model.states.labels[int(rng.integers(0, len(model.states)))]
-    for rule in (PolicyRule(policy), NeverStop(), HistoryRule(lambda r, xs, ts: r < 0.5 * model.horizon)):
+    for rule in (RegionRule(region), NeverStop()):
         assert sim.estimate_value(model, rule, x0, 40, seed) == reference_report(model, rule, x0, 40, seed)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from smpstop import (
     AlwaysStop,
-    HistoryRule,
     NeverStop,
     PointMass,
-    PolicyRule,
     RegionRule,
     TimeGrid,
     Trajectory,
@@ -18,7 +16,6 @@ from smpstop import (
     estimate_value,
     evaluate_policy,
     execute_rule,
-    extract_optimal_policy,
     solve_smdp,
     path_stream,
     sample_trajectory,
@@ -27,7 +24,7 @@ from smpstop import (
     trajectory_cost,
 )
 from smpstop.simulate import StopOutcome, StoppingRule
-from conftest import make_random_model, make_random_policy, policy_from_rule, single_state_model, two_state_model
+from conftest import make_random_model, make_random_policy, region_from_rule, single_state_model, two_state_model
 
 
 @pytest.fixture(scope="module")
@@ -131,17 +128,10 @@ def test_always_stop(m1):
     assert execute_rule(AlwaysStop(), traj0, 0.0) == StopOutcome(0, False)
 
 
-def test_history_rule_is_executable(m1):
-    rule = HistoryRule(predicate=lambda remaining, states, sojourns: len(sojourns) >= 2)
-    traj = Trajectory(states=(0, 0, 0, 0), sojourns=(0.2, 0.2, 0.7), jump_times=(0.0, 0.2, 0.4, 1.1))
-    outcome = execute_rule(rule, traj, 1.0)
-    assert outcome == StopOutcome(index=2, stopped_before_horizon=True)
-
-
 def test_a_trajectory_sampled_under_a_rule_ends_at_its_stop(m2_solved):
     # the cut trajectory is the full one up to the stop, with the same outcome and cost
     model, _, _, region = m2_solved
-    rules = (RegionRule(region), NeverStop(), AlwaysStop(), HistoryRule(lambda r, xs, ts: sum(ts) > 0.3))
+    rules = (RegionRule(region), NeverStop(), AlwaysStop())
     for rule in rules:
         for i in range(50):
             full = sample_trajectory(model, 1, path_stream(4, i))
@@ -258,18 +248,17 @@ def test_mc_report_json_keys(m2_solved):
 
 def test_policy_from_rule_always_and_never(m1):
     grid = TimeGrid(1.0, 16)
-    always = policy_from_rule(AlwaysStop(), m1, grid)
-    assert np.all(always.table[1:, 0] == 1)
-    assert always.table[0, 0] == 0
-    never = policy_from_rule(NeverStop(), m1, grid)
-    assert np.all(never.table[:, 0] == 0)
+    always = region_from_rule(AlwaysStop(), m1, grid)
+    assert always.member[1:, 0].all()
+    assert not always.member[0, 0]
+    never = region_from_rule(NeverStop(), m1, grid)
+    assert not never.member.any()
 
 
 def test_policy_from_rule_region_round_trip(m2_solved):
     model, grid, _, region = m2_solved
     rule = RegionRule(region)
-    policy = policy_from_rule(rule, model, grid)
-    induced = PolicyRule(policy)
+    induced = RegionRule(region_from_rule(rule, model, grid))
     for k in range(0, grid.steps + 1, 41):
         s = float(grid.nodes[k])
         for x in range(2):
@@ -286,9 +275,9 @@ class EarlyHalf(StoppingRule):
 def test_policy_from_rule_of_a_rule_with_only_stops(m2_solved):
     model, _, _, _ = m2_solved
     grid = TimeGrid(1.0, 8)
-    table = policy_from_rule(EarlyHalf(), model, grid).table
-    assert table[:, 0].tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 1]
-    assert not table[:, 1].any() and table[:, 2].all()
+    member = region_from_rule(EarlyHalf(), model, grid).member
+    assert member[:, 0].tolist() == [False] * 5 + [True] * 4
+    assert not member[:, 1].any()
 
 
 def test_policy_from_rule_region_on_another_grid(m2_solved):
@@ -296,18 +285,12 @@ def test_policy_from_rule_region_on_another_grid(m2_solved):
     model, _, _, region = m2_solved
     rule = RegionRule(region)
     grid = TimeGrid(1.0, 24)
-    table = policy_from_rule(rule, model, grid).table
-    assert table[0].tolist() == [0, 0, 1] and table[:, 2].all()
+    member = region_from_rule(rule, model, grid).member
+    assert member[0].tolist() == [False, False]
     for k in range(1, grid.steps + 1):
         for x in range(2):
-            assert table[k, x] == rule.stops(float(grid.nodes[k]), x)
-    assert table[1:, 0].any() and not table[1:, 0].all()
-
-
-def test_policy_from_rule_rejects_history(m1):
-    rule = HistoryRule(predicate=lambda remaining, states, sojourns: True)
-    with pytest.raises(ValueError, match="history"):
-        policy_from_rule(rule, m1, TimeGrid(1.0, 8))
+            assert member[k, x] == rule.stops(float(grid.nodes[k]), x)
+    assert member[1:, 0].any() and not member[1:, 0].all()
 
 
 @settings(max_examples=15)
@@ -317,7 +300,7 @@ def test_realized_cost_bounds(seed):
     rng = np.random.default_rng(seed)
     model = make_random_model(rng)
     bound = model.horizon * float(model.costs.rate.max()) + float(model.costs.terminal.max())
-    rules = [AlwaysStop(), NeverStop(), HistoryRule(lambda r, xs, ts: len(ts) >= 1)]
+    rules = [AlwaysStop(), NeverStop()]
     for i, rule in enumerate(rules):
         traj = sample_trajectory(model, 0, path_stream(seed, i))
         outcome = execute_rule(rule, traj, model.horizon)
@@ -326,14 +309,14 @@ def test_realized_cost_bounds(seed):
 
 
 def test_region_rule_policy_equals_extracted_optimum(m2_solved):
-    # the decision table of the optimal region reproduces the extracted
-    # optimal policy: both stop exactly where the value meets the payoff
+    # the decision table of the optimal region's rule is the region read off
+    # the decision process's value: both stop exactly where the value meets the payoff
     model, grid, _, region = m2_solved
-    sm = build_smdp(model)
-    u, _ = solve_smdp(sm, grid, tol=1e-10)
-    best = extract_optimal_policy(sm, u)
-    from_rule = policy_from_rule(RegionRule(region), model, grid)
-    np.testing.assert_array_equal(from_rule.table, best.table)
+    u, _ = solve_smdp(build_smdp(model), grid, tol=1e-10)
+    best = stopping_region(u, model)
+    from_rule = region_from_rule(RegionRule(region), model, grid)
+    np.testing.assert_array_equal(from_rule.member, best.member)
+    assert from_rule.boundary == best.boundary
 
 
 def test_induced_rule_matches_policy_evaluation(m2_solved):
@@ -347,6 +330,6 @@ def test_induced_rule_matches_policy_evaluation(m2_solved):
         policy = make_random_policy(rng, sm.n_base, grid)
         expected, _ = evaluate_policy(sm, policy, tol=1e-12)
         x0 = "a" if trial % 2 == 0 else "b"
-        report = estimate_value(model, PolicyRule(policy), x0, 10000, seed=100 + trial)
+        report = estimate_value(model, RegionRule(policy), x0, 10000, seed=100 + trial)
         dp = expected.value(1.0, model.states.index(x0))
         assert abs(report.mean - dp) <= 3.0 * report.std_err + 1.5e-2

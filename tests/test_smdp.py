@@ -6,19 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smpstop import (
-    CONTINUE,
-    STOP,
-    DeterministicMarkovPolicy,
+    RegionRule,
+    StoppingRegion,
     TimeGrid,
     ValueGrid,
     apply_T,
     build_smdp,
     evaluate_policy,
-    extract_optimal_policy,
     solve_smdp,
+    stopping_region,
 )
 from smpstop.grid import discretize_kernel
 from conftest import (
+    CONTINUE,
+    STOP,
     actions,
     apply_T_action,
     check_smdp_regularity,
@@ -209,21 +210,21 @@ def test_solve_bounds_random_models():
 
 
 # ---------------------------------------------------------------------------
-# policy extraction
+# the optimal decision table: the stopping region of the decision process's value
 
 
 def test_extracted_policy_boundary(m1):
     sm = build_smdp(m1)
     grid = TimeGrid(1.0, 1024)
     u, _ = solve_smdp(sm, grid, tol=1e-10)
-    policy = extract_optimal_policy(sm, u)
-    stops = np.flatnonzero(policy.table[:, 0] == STOP)
+    region = stopping_region(u, m1)
+    stops = np.flatnonzero(region.member[:, 0])
     assert stops.size > 0
     first = stops[0]
     assert abs(grid.nodes[first] - 0.5) <= grid.dt  # analytic boundary at g / c
-    assert np.all(policy.table[first:, 0] == STOP)
-    assert policy.table[0, 0] == CONTINUE
-    assert np.all(policy.table[:, 1] == STOP)
+    assert region.member[first:, 0].all()
+    assert not region.member[0, 0]
+    assert region.boundary == (float(grid.nodes[first]),)
 
 
 def test_extracted_policy_stops_everywhere_when_terminal_is_free():
@@ -231,38 +232,29 @@ def test_extracted_policy_stops_everywhere_when_terminal_is_free():
     sm = build_smdp(model)
     grid = TimeGrid(1.0, 64)
     u, _ = solve_smdp(sm, grid)
-    policy = extract_optimal_policy(sm, u)
-    assert np.all(policy.table[1:, 0] == STOP)
-    assert policy.table[0, 0] == CONTINUE
+    region = stopping_region(u, model)
+    assert region.member[1:, 0].all()
+    assert not region.member[0, 0]
 
 
 def test_policy_table_validation(m1):
+    # a decision table has one row per grid node and a column per base state
     grid = TimeGrid(1.0, 8)
-    good = np.zeros((9, 2), dtype=np.int8)
-    good[:, 1] = STOP
-    DeterministicMarkovPolicy(grid=grid, table=good)
-    bad_rest = good.copy()
-    bad_rest[3, 1] = CONTINUE
-    with pytest.raises(ValueError, match="rest state"):
-        DeterministicMarkovPolicy(grid=grid, table=bad_rest)
-    bad_origin = good.copy()
-    bad_origin[0, 0] = STOP
-    with pytest.raises(ValueError, match="zero remaining horizon"):
-        DeterministicMarkovPolicy(grid=grid, table=bad_origin)
-    with pytest.raises(ValueError, match="shape"):
-        DeterministicMarkovPolicy(grid=grid, table=good[:5])
+    StoppingRegion(grid=grid, member=np.zeros((9, 1), dtype=bool))
+    for shape in ((5, 1), (10, 1), (9, 0), (9,), (9, 1, 1)):
+        with pytest.raises(ValueError, match="shape"):
+            StoppingRegion(grid=grid, member=np.zeros(shape, dtype=bool))
 
 
 def test_policy_action_lookup_floors(m1):
     grid = TimeGrid(1.0, 4)
-    table = np.zeros((5, 2), dtype=np.int8)
-    table[:, 1] = STOP
-    table[2:, 0] = STOP  # stop from s = 0.5 on
-    policy = DeterministicMarkovPolicy(grid=grid, table=table)
-    assert policy.action(0.49, 0) == CONTINUE
-    assert policy.action(0.5, 0) == STOP
-    assert policy.action(0.74, 0) == STOP
-    assert policy.action(0.1, 0) == CONTINUE
+    member = np.zeros((5, 1), dtype=bool)
+    member[2:, 0] = True  # stop from s = 0.5 on
+    rule = RegionRule(StoppingRegion(grid=grid, member=member))
+    assert not rule.stops(0.49, 0)
+    assert rule.stops(0.5, 0)
+    assert rule.stops(0.74, 0)
+    assert not rule.stops(0.1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +262,11 @@ def test_policy_action_lookup_floors(m1):
 
 
 def test_evaluate_always_stop(m2):
+    # node 0 is a member too, but no table stops with no horizon left
     sm = build_smdp(m2)
     grid = TimeGrid(1.0, 64)
-    table = np.ones((grid.steps + 1, sm.n_states), dtype=np.int8)
-    table[0, : sm.n_base] = CONTINUE
-    policy = DeterministicMarkovPolicy(grid=grid, table=table)
-    u, report = evaluate_policy(sm, policy)
+    region = StoppingRegion(grid=grid, member=np.ones((grid.steps + 1, sm.n_base), dtype=bool))
+    u, report = evaluate_policy(sm, region)
     assert report.converged
     np.testing.assert_array_equal(u.values[1:, 0], np.full(grid.steps, 0.3))
     np.testing.assert_array_equal(u.values[1:, 1], np.full(grid.steps, 1.0))
@@ -285,10 +276,8 @@ def test_evaluate_always_stop(m2):
 def test_evaluate_never_stop_single_state(m1):
     sm = build_smdp(m1)
     grid = TimeGrid(1.0, 1024)
-    table = np.zeros((grid.steps + 1, sm.n_states), dtype=np.int8)
-    table[:, sm.n_base] = STOP
-    policy = DeterministicMarkovPolicy(grid=grid, table=table)
-    u, _ = evaluate_policy(sm, policy, tol=1e-12)
+    region = StoppingRegion(grid=grid, member=np.zeros((grid.steps + 1, sm.n_base), dtype=bool))
+    u, _ = evaluate_policy(sm, region, tol=1e-12)
     # running forever in a unit-rate unit-cost state costs the full horizon
     assert np.max(np.abs(u.values[:, 0] - grid.nodes)) <= 5e-3
 
@@ -298,8 +287,7 @@ def test_optimal_policy_attains_the_value(m1, m2):
         sm = build_smdp(model)
         grid = TimeGrid(model.horizon, 512)
         u, _ = solve_smdp(sm, grid, tol=1e-12)
-        policy = extract_optimal_policy(sm, u)
-        attained, _ = evaluate_policy(sm, policy, tol=1e-12)
+        attained, _ = evaluate_policy(sm, stopping_region(u, model), tol=1e-12)
         assert np.max(np.abs(attained.values - u.values)) <= 1e-9
 
 

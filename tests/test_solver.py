@@ -11,10 +11,9 @@ import smpstop.smdp
 import smpstop.solver
 
 from smpstop import (
-    STOP,
     ContractionError,
-    DeterministicMarkovPolicy,
     PointMass,
+    RegionRule,
     StateSpace,
     StoppingRegion,
     TimeGrid,
@@ -147,9 +146,8 @@ def _solve_smdp(model, grid, **kw):
 
 
 def _evaluate_never_stop(model, grid, **kw):
-    table = np.zeros((grid.steps + 1, len(model.states) + 1), dtype=np.int8)
-    table[:, -1] = STOP  # the rest state's only action
-    return evaluate_policy(build_smdp(model), DeterministicMarkovPolicy(grid, table), **kw)
+    region = StoppingRegion(grid, np.zeros((grid.steps + 1, len(model.states)), dtype=bool))
+    return evaluate_policy(build_smdp(model), region, **kw)
 
 
 def unsettled_convolution(monkeypatch):
@@ -272,7 +270,7 @@ def test_engine_changes_no_bits(name, steps, monkeypatch):
     kg = discretize_kernel(model.kernel, grid)
     sm = build_smdp(model)
     policy = make_random_policy(np.random.default_rng(steps), n, grid)
-    stop = policy.table[:, :n] == STOP
+    stop = policy.member
 
     def g_step(v):
         return apply_G(ValueGrid(grid, v), model, kg).values
@@ -331,9 +329,10 @@ def test_stopping_region_m1_boundary(m1):
     assert not region.member[0].any()
     assert region.boundary[0] is not None
     assert abs(region.boundary[0] - 0.5) <= grid.dt
-    assert region.contains(1.0, 0)
-    assert not region.contains(0.25, 0)
-    assert not region.contains(0.0, 0)
+    rule = RegionRule(region)
+    assert rule.stops(1.0, 0)
+    assert not rule.stops(0.25, 0)
+    assert not rule.stops(0.0, 0)
 
 
 def test_stopping_region_free_terminal_cost():
@@ -354,6 +353,46 @@ def test_stopping_region_never_stop_section(m2):
     assert not region.member[:, 1].any()
     assert region.boundary[1] is None
     assert region.boundary[0] is not None
+
+
+def scanned_boundary(member: np.ndarray, nodes: np.ndarray) -> tuple:
+    """The boundary by a scan of each state's section: its first member node, if every node from there on is one."""
+    boundary = []
+    for x in range(member.shape[1]):
+        hits = np.flatnonzero(member[:, x])
+        boundary.append(float(nodes[hits[0]]) if hits.size and member[hits[0] :, x].all() else None)
+    return tuple(boundary)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**9))
+def test_region_boundary_matches_a_scan_of_member(seed):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0, int(rng.integers(1, 12)))
+    n = int(rng.integers(1, 5))
+    member = np.zeros((grid.steps + 1, n), dtype=bool)
+    for x in range(n):  # up-sets from a random node, some with one cell flipped, and coin flips
+        member[int(rng.integers(0, grid.steps + 2)) :, x] = True
+        if rng.random() < 0.3:
+            member[int(rng.integers(0, grid.steps + 1)), x] ^= True
+        if rng.random() < 0.2:
+            member[:, x] = rng.random(grid.steps + 1) < 0.5
+    assert StoppingRegion(grid, member).boundary == scanned_boundary(member, grid.nodes)
+
+
+def test_stopping_region_reads_only_the_base_states():
+    # the decision process's table has a rest-state column; the region of either route is the same
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        model = make_random_model(rng)
+        grid = TimeGrid(model.horizon, 64)
+        kg = discretize_kernel(model.kernel, grid)
+        v, _ = solve_value(model, grid, kg=kg)
+        u, _ = solve_smdp(build_smdp(model), grid, kg=kg)
+        assert u.values.shape[1] == v.values.shape[1] + 1
+        from_value, from_smdp = stopping_region(v, model), stopping_region(u, model)
+        np.testing.assert_array_equal(from_smdp.member, from_value.member)
+        assert from_smdp.boundary == from_value.boundary
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +433,25 @@ def test_budget_rejects_non_contractive():
 def test_budget_zero_beta():
     model = single_state_model(dist=PointMass(2.0))
     assert iteration_budget(model, 0.01).n_iter == 1
+
+
+def test_budget_rejects_a_bound_that_overflows():
+    # M = T * max c + max g = 1.7e308 + 1.7e308 is inf, and N would be 0 / 0 sweeps
+    model = single_state_model(c=1.7e308, g=1.7e308)
+    assert contraction_factor(model) < 1.0
+    with pytest.raises(ValueError, match="overflows a float"):
+        iteration_budget(model, 0.01)
+
+
+@pytest.mark.parametrize(
+    "solve", [solve_value, _solve_smdp, _evaluate_never_stop], ids=["solve_value", "solve_smdp", "evaluate_policy"]
+)
+@pytest.mark.filterwarnings("error")
+def test_values_that_overflow_raise(solve):
+    # the FFT of a column near 1.7e308 overflows, and the table would turn to NaN
+    model = single_state_model(c=1.7e308, g=1.7e308)
+    with pytest.raises(OverflowError, match="overflow a float"):
+        solve(model, TimeGrid(1.0, 64))
 
 
 def test_budget_rejects_eps_that_underflows():
@@ -577,7 +635,7 @@ def _csv_inputs(steps: int, horizon: float):
     values.flat[:3] = (0.0, 1e-300, 1.0)
     member = rng.random(shape) < 0.5
     member[0] = False
-    region = StoppingRegion(grid=grid, member=member, boundary=(None,) * shape[1])
+    region = StoppingRegion(grid=grid, member=member)
     return ValueGrid(grid, values), region, StateSpace(TRICKY_LABELS)
 
 
