@@ -100,10 +100,10 @@ class RegionRule(StoppingRule):
         self.region = region
 
     def stops(self, remaining, state):
-        return remaining > 0.0 and bool(self.region.member[self.region.grid.floor_index(remaining), state])
+        return bool(self.region.member[self.region.grid.floor_index(remaining), state])
 
     def stops_many(self, remaining, states):
-        return (remaining > 0.0) & self.region.member[self.region.grid.floor_index(remaining), states]
+        return self.region.member[self.region.grid.floor_index(remaining), states]
 
 
 class AlwaysStop(StoppingRule):

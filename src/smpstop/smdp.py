@@ -4,21 +4,21 @@ Value iteration on the process (``SMDPModel``) computes the minimal
 expected cost over all stop/continue strategies. Its rest state admits only
 the stop action, so a Markov decision table is a stop set over (node, base
 state), a ``StoppingRegion``, and ``evaluate_policy`` computes its cost the
-same way. ``_t_sweep`` runs the process on whole tables; the tests keep a
-pointwise, per-action copy of it as their reference.
+same way. The tests keep a pointwise, per-action copy of the process as
+their reference.
 
-This module also holds the library's one value-iteration loop
-(``_fixed_point``), which every solve and ``eps_region`` runs, the one
-continuation term that every sweep uses (``_continuation``) and the
-workspace that a loop's sweeps share (``_Workspace``); the stopping
-recursion in ``solver`` builds on them.
+On the base states the process's minimum-cost operator T is the stopping
+recursion's G, and its rest-state column is zero. So this module holds the
+library's one value-iteration sweep (``_sweep``), which writes base columns
+and zeroes any column past them, and the one loop (``_fixed_point``) that
+runs it for every solve, ``eps_region`` and ``evaluate_policy``: a solve
+picks only the table's width and an optional stop table. ``solver`` builds
+the stopping recursion on them.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -74,14 +74,18 @@ def build_smdp(model: SMPModel) -> SMDPModel:
 class StoppingRegion:
     """Grid subset ``member[node, base state]`` where a rule stops: the one decision table.
 
+    No rule stops with no horizon left, so node 0 is never a member: the
+    region keeps its own read-only copy of ``member`` with row 0 cleared.
     ``boundary[x]`` is the earliest member node time when the section of
     state x is an up-set reaching the horizon, else None.
     """
 
     def __init__(self, grid: TimeGrid, member: np.ndarray):
-        member = np.asarray(member, dtype=bool)
+        member = np.array(member, dtype=bool)
         if member.ndim != 2 or member.shape[0] != grid.steps + 1 or member.shape[1] < 1:
             raise ValueError(f"member has shape {member.shape}; it needs {grid.steps + 1} rows, one per grid node")
+        member[0] = False
+        member.flags.writeable = False
         self.grid = grid
         self.member = member
         first = member.argmax(axis=0)  # each section's first member node, 0 if it has none
@@ -134,12 +138,12 @@ def _fixed_point(
     model: SMPModel,
     grid: TimeGrid,
     width: int,
-    sweep: Callable[[KernelGrid, np.ndarray, np.ndarray, _Workspace], np.ndarray],
     tol: float,
     kg: KernelGrid | None = None,
     sweeps: int | None = None,
+    stop: np.ndarray | None = None,
 ) -> tuple[ValueGrid, SolveReport]:
-    """Iterate ``sweep`` from a zero table of ``width`` columns up to its fixed point.
+    """Iterate ``_sweep`` from a zero table of ``width`` columns up to its fixed point.
 
     Lag 0 carries no jump mass, so a sweep's value at node k reads only
     nodes below k: from zero, sweep m fixes node m - 1, the table is the
@@ -157,10 +161,10 @@ def _fixed_point(
     residual sweep that is not finite (an overflow, or the NaN it leads to)
     raises OverflowError once the loop ends.
 
-    ``sweep(kg, values, out, ws)`` writes the sweep of ``values`` into
-    ``out`` and returns it; ``ws`` is the solve's workspace. The loop holds
-    two tables and swaps them, so a sweep never writes the table it reads
-    and no sweep allocates one.
+    ``width`` is n for the stopping recursion and n + 1 for the decision
+    process, whose rest-state column stays zero; ``stop`` is passed on to
+    every sweep. The loop holds two tables and swaps them, so a sweep never
+    writes the table it reads and no sweep allocates one.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -176,12 +180,12 @@ def _fixed_point(
     # an overflow shows in the residual: a non-finite entry in either table makes it inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(grid.steps + 2 if sweeps is None else sweeps):
-            nxt = sweep(kg, values, spare, ws)
+            nxt = _sweep(model, kg, values, spare, ws, stop)
             diffs.append(_sup_diff(nxt, values, scratch))
             values, spare = nxt, values
             if sweeps is None and diffs[-1] <= tol:
                 break
-        swept = sweep(kg, values, spare, ws)
+        swept = _sweep(model, kg, values, spare, ws, stop)
         residual = _sup_diff(swept, values, scratch)
     if not math.isfinite(residual):
         raise OverflowError("the values overflow a float; the model's costs are too large")
@@ -196,28 +200,27 @@ def _fixed_point(
     return ValueGrid(grid=grid, values=values), report
 
 
-def _continuation(model: SMPModel, kg: KernelGrid, values: np.ndarray, out: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Continue-action values on base states for all nodes, c * survival + convolution, into ``out``.
-
-    Columns of ``values`` past the base states (the rest state) are ignored.
-    """
-    conv = convolve_values(kg, values[:, : len(model.states)], out, ws)
-    return np.add(ws.running, conv, out=out)
-
-
-def _t_sweep(
-    sm: SMDPModel, kg: KernelGrid, values: np.ndarray, out: np.ndarray | None = None, ws: _Workspace | None = None,
+def _sweep(
+    model: SMPModel, kg: KernelGrid, values: np.ndarray, out: np.ndarray | None = None, ws: _Workspace | None = None,
     stop: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One sweep into ``out`` (a new table by default): the minimum-cost operator, or the table stopping on ``stop``."""
+    """One value-iteration sweep of ``values`` into ``out`` (a new table by default).
+
+    The base columns get c * survival + convolution of the base columns,
+    then its minimum with g, or g where ``stop`` is set; every column past
+    them (the rest state) gets 0. ``ws`` is a solve's workspace.
+    """
     if out is None:
         out = np.empty_like(values)
-    base = _continuation(sm.base, kg, values, out[:, : sm.n_base], ws or _Workspace(sm.base, kg))
+    ws = ws or _Workspace(model, kg)
+    n = len(model.states)
+    base = out[:, :n]
+    np.add(ws.running, convolve_values(kg, values[:, :n], base, ws), out=base)
     if stop is None:
-        np.minimum(base, sm.base.costs.terminal[None, :], out=base)
+        np.minimum(base, model.costs.terminal, out=base)
     else:
-        np.copyto(base[1:], sm.base.costs.terminal, where=stop[1:])  # never with no horizon left
-    out[:, sm.n_base] = 0.0
+        np.copyto(base, model.costs.terminal, where=stop)
+    out[:, n:] = 0.0
     return out
 
 
@@ -225,7 +228,7 @@ def apply_T(sm: SMDPModel, v: ValueGrid, kg: KernelGrid | None = None) -> ValueG
     """Pointwise minimum of the action operators over admissible actions."""
     if kg is None:
         kg = discretize_kernel(sm.base.kernel, v.grid)
-    return ValueGrid(grid=v.grid, values=_t_sweep(sm, kg, v.values))
+    return ValueGrid(grid=v.grid, values=_sweep(sm.base, kg, v.values))
 
 
 def solve_smdp(
@@ -237,12 +240,9 @@ def solve_smdp(
     optional shared ``kg`` are those of ``_fixed_point``. The rest-state
     column stays zero.
     """
-    return _fixed_point(sm.base, grid, sm.n_states, partial(_t_sweep, sm), tol, kg)
+    return _fixed_point(sm.base, grid, sm.n_states, tol, kg)
 
 
 def evaluate_policy(sm: SMDPModel, region: StoppingRegion, tol: float = 1e-9) -> tuple[ValueGrid, SolveReport]:
-    """Expected cost of the decision table that stops on ``region``'s members, on its grid.
-
-    No rule stops with no horizon left, so node 0 never stops, whatever ``region`` holds there.
-    """
-    return _fixed_point(sm.base, region.grid, sm.n_states, partial(_t_sweep, sm, stop=region.member), tol)
+    """Expected cost of the decision table that stops on ``region``'s members, on its grid."""
+    return _fixed_point(sm.base, region.grid, sm.n_states, tol, stop=region.member)

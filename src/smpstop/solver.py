@@ -15,23 +15,13 @@ the region in which stopping is optimal.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .grid import KernelGrid, TimeGrid, ValueGrid, discretize_kernel
 from .model import SMPModel, StateSpace, contraction_factor
-from .smdp import (
-    SolveReport,
-    StoppingRegion,
-    _continuation,
-    _fixed_point,
-    _Workspace,
-    apply_T,
-    build_smdp,
-    solve_smdp,
-)
+from .smdp import SolveReport, StoppingRegion, _fixed_point, _sweep, apply_T, build_smdp, solve_smdp
 
 __all__ = [
     "ContractionError",
@@ -72,21 +62,11 @@ class EpsRegionResult(NamedTuple):
     report: SolveReport
 
 
-def _g_sweep(
-    model: SMPModel, kg: KernelGrid, values: np.ndarray, out: np.ndarray | None = None, ws: _Workspace | None = None
-) -> np.ndarray:
-    """One sweep of the recursion, into ``out`` (a new table by default) with a solve's workspace ``ws``."""
-    if out is None:
-        out = np.empty_like(values)
-    cont = _continuation(model, kg, values, out, ws or _Workspace(model, kg))
-    return np.minimum(cont, model.costs.terminal[None, :], out=out)
-
-
 def apply_G(v: ValueGrid, model: SMPModel, kg: KernelGrid | None = None) -> ValueGrid:
     """One sweep of the stopping recursion: min(continuation cost, stop payoff)."""
     if kg is None:
         kg = discretize_kernel(model.kernel, v.grid)
-    return ValueGrid(grid=v.grid, values=_g_sweep(model, kg, v.values))
+    return ValueGrid(grid=v.grid, values=_sweep(model, kg, v.values))
 
 
 def solve_value(
@@ -98,7 +78,7 @@ def solve_value(
     The loop, its report and the optional shared ``kg`` are those of
     ``smdp._fixed_point``.
     """
-    return _fixed_point(model, grid, len(model.states), partial(_g_sweep, model), tol, kg)
+    return _fixed_point(model, grid, len(model.states), tol, kg)
 
 
 def stopping_region(v: ValueGrid, model: SMPModel, eta: float = 1e-6) -> StoppingRegion:
@@ -109,9 +89,7 @@ def stopping_region(v: ValueGrid, model: SMPModel, eta: float = 1e-6) -> Stoppin
     ``solve_value``'s. Zero remaining horizon is never a member.
     """
     g = model.costs.terminal
-    member = v.values[:, : len(g)] >= (g - eta * (1.0 + g))[None, :]
-    member[0, :] = False
-    return StoppingRegion(grid=v.grid, member=member)
+    return StoppingRegion(grid=v.grid, member=v.values[:, : len(g)] >= (g - eta * (1.0 + g))[None, :])
 
 
 def iteration_budget(model: SMPModel, eps: float) -> EpsBudget:
@@ -152,7 +130,7 @@ def eps_region(model: SMPModel, grid: TimeGrid, eps: float, eta: float = 1e-6) -
     exceeds eps (see ``exactness_gap``) the region coincides with the optimal one.
     """
     budget = iteration_budget(model, eps)
-    iterate, report = _fixed_point(model, grid, len(model.states), partial(_g_sweep, model), eps, sweeps=budget.n_iter)
+    iterate, report = _fixed_point(model, grid, len(model.states), eps, sweeps=budget.n_iter)
     refined = ValueGrid(grid=grid, values=report.next_values)
     region = stopping_region(refined, model, eta)
     return EpsRegionResult(region=region, iterate=iterate, refined=refined, budget=budget, report=report)
@@ -199,8 +177,8 @@ def operator_discrepancy(
 def cross_check(model: SMPModel, grid: TimeGrid, tol: float = 1e-9) -> float:
     """Solve both routes on one discretized kernel; return their max difference on base states.
 
-    The two computations are algebraically identical node for node, so any
-    visible discrepancy indicates an implementation fault.
+    Both routes run ``smdp._sweep``, at widths n + 1 and n, so any visible
+    discrepancy indicates a fault in the width or rest-state handling.
     """
     kg = discretize_kernel(model.kernel, grid)
     u, _ = solve_smdp(build_smdp(model), grid, tol=tol, kg=kg)

@@ -77,7 +77,7 @@ def reference_fft_convolve_values(kg, v: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The decision process one action at a time: the pointwise reference for
-# smdp's whole-table sweep (_t_sweep).
+# smdp's whole-table sweep (_sweep).
 
 CONTINUE, STOP = 0, 1
 
@@ -164,10 +164,10 @@ def region_from_rule(rule: StoppingRule, model: SMPModel, grid: TimeGrid) -> Sto
 
 @contextlib.contextmanager
 def reference_recursion():
-    """Run every sweep on ``reference_convolve_values``: they share ``smdp._continuation``."""
+    """Run every sweep on ``reference_convolve_values``: they all run ``smdp._sweep``."""
 
     def reference(kg, v, out=None, work=None):
-        return reference_convolve_values(kg, v)  # a new table, which _continuation adds into the sweep's own
+        return reference_convolve_values(kg, v)  # a new table, which _sweep adds into the sweep's own
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smpstop.smdp, "convolve_values", reference)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import smpstop.cli as cli
+import smpstop.smdp
 from smpstop import (
     TimeGrid,
     Uniform,
@@ -26,8 +27,7 @@ from smpstop import (
     stopping_region,
 )
 from smpstop.simulate import AlwaysStop, NeverStop, RegionRule
-from smpstop.smdp import _fixed_point
-from smpstop.solver import _g_sweep
+from smpstop.smdp import _fixed_point, _sweep
 from conftest import (
     make_random_model,
     make_random_policy,
@@ -52,16 +52,18 @@ def m2():
 
 
 def _iterate(model, grid, cap):
-    """The fixed-point loop to a 1e-9 step on a ``_g_sweep`` that records per-sweep diagnostics."""
+    """The fixed-point loop to a 1e-9 step on a ``_sweep`` that records per-sweep diagnostics."""
     seen = SimpleNamespace(monotone=True, bounded=True)
 
-    def sweep(kg, values, out, ws):
-        nxt = _g_sweep(model, kg, values, out, ws)
+    def sweep(model, kg, values, *rest):
+        nxt = _sweep(model, kg, values, *rest)
         seen.monotone = seen.monotone and bool(np.all(nxt >= values))
         seen.bounded = seen.bounded and bool(np.all(nxt >= 0.0)) and bool(np.all(nxt <= cap))
         return nxt
 
-    _, report = _fixed_point(model, grid, len(model.states), sweep, 1e-9)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smpstop.smdp, "_sweep", sweep)
+        _, report = _fixed_point(model, grid, len(model.states), 1e-9)
     return SimpleNamespace(
         monotone=seen.monotone, bounded=seen.bounded, converged=report.converged, residual=report.residual
     )

@@ -273,16 +273,18 @@ def _fill_rest_column(out):
 
 @pytest.mark.parametrize("fault", [None, _shift_base_cell, _fill_rest_column], ids=["real", "base-cell", "rest-column"])
 def test_solve_cross_check_sees_a_faulty_decision_process_sweep(m2_file, tmp_path, monkeypatch, fault):
-    # the one-sweep check compares T([v, 0]) with [G(v), 0], rest-state column included
+    # the one-sweep check compares T([v, 0]) with [G(v), 0], rest-state column included;
+    # both run smdp._sweep, so the fault goes only into the decision process's (n + 1)-wide sweeps
     if fault is not None:
-        t_sweep = smpstop.smdp._t_sweep
+        sweep = smpstop.smdp._sweep
 
-        def faulty(*args):
-            out = t_sweep(*args)
-            fault(out)
+        def faulty(model, kg, values, *rest):
+            out = sweep(model, kg, values, *rest)
+            if out.shape[1] == len(model.states) + 1:
+                fault(out)
             return out
 
-        monkeypatch.setattr(smpstop.smdp, "_t_sweep", faulty)
+        monkeypatch.setattr(smpstop.smdp, "_sweep", faulty)
     assert run("solve", "--model", str(m2_file), "--grid", "64", "--out", str(tmp_path)) == 0
     discrepancy = json.loads((tmp_path / "solve_report.json").read_text())["cross_check_discrepancy"]
     if fault is None:
@@ -669,20 +671,21 @@ def test_flag_whose_budget_underflows_exits_2(m2_file, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
-    [(("solve",), 3), (("simulate", "--paths", "10"), 0)],
+    "argv, code, checks",
+    [(("solve",), 3, 1), (("simulate", "--paths", "10"), 0, 0)],
     ids=["solve", "simulate-optimal"],
 )
-def test_tol_below_round_off_stops_after_steps_plus_two_sweeps(m2_file, tmp_path, monkeypatch, argv, code):
+def test_tol_below_round_off_stops_after_steps_plus_two_sweeps(m2_file, tmp_path, monkeypatch, argv, code, checks):
     # FFT round-off keeps each step near 1e-17, so no sweep reaches --tol 1e-320; the grid
     # bounds the solve at 64 + 2 sweeps (plus the residual's), where log(1/tol) gave 50 910.
-    # solve's cross-check reads G(v) from the residual's sweep instead of sweeping again
+    # solve's cross-check reads G(v) from the residual's sweep instead of sweeping again;
+    # its one sweep of T (operator_discrepancy) runs through the same function, so it counts too
     sweeps = []
-    g_sweep = smpstop.solver._g_sweep
-    monkeypatch.setattr(smpstop.solver, "_g_sweep", lambda *a: sweeps.append(1) or g_sweep(*a))
+    sweep = smpstop.smdp._sweep
+    monkeypatch.setattr(smpstop.smdp, "_sweep", lambda *a: sweeps.append(1) or sweep(*a))
     out = tmp_path / "o"
     assert run(*argv, "--tol", "1e-320", "--model", str(m2_file), "--grid", "64", "--out", str(out)) == code
-    assert len(sweeps) == 64 + 2 + 1
+    assert len(sweeps) == 64 + 2 + 1 + checks
     if argv[0] == "solve":
         report = json.loads((out / "solve_report.json").read_text())
         assert report["iterations"] == 66 and not report["converged"]

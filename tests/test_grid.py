@@ -15,7 +15,7 @@ from smpstop import (
     solve_value,
 )
 from smpstop.grid import ConvolutionWorkspace, _fft_length
-from smpstop.solver import _g_sweep
+from smpstop.smdp import _sweep
 from conftest import (
     make_random_model,
     reference_convolve_values,
@@ -162,6 +162,6 @@ def test_sweep_without_running_cost_stays_nonnegative(steps):
     kg = discretize_kernel(model.kernel, TimeGrid(model.horizon, steps))
     values = np.random.default_rng(steps).uniform(0.0, 2.0, (steps + 1, 3))
     for _ in range(20):
-        values = _g_sweep(model, kg, values)
+        values = _sweep(model, kg, values)
         assert np.all(values[0] == 0.0)
         assert np.all(values >= 0.0)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smpstop import (
+    NeverStop,
     RegionRule,
     StoppingRegion,
     TimeGrid,
     ValueGrid,
     apply_T,
     build_smdp,
+    estimate_value,
     evaluate_policy,
     solve_smdp,
+    solve_value,
     stopping_region,
 )
 from smpstop.grid import discretize_kernel
@@ -30,6 +34,7 @@ from conftest import (
     reference_recursion,
     single_state_model,
     terminal_cost,
+    two_state_model,
 )
 
 EXP1 = 1.0 - math.exp(-1.0)
@@ -262,7 +267,7 @@ def test_policy_action_lookup_floors(m1):
 
 
 def test_evaluate_always_stop(m2):
-    # node 0 is a member too, but no table stops with no horizon left
+    # node 0 is set in the table too, but the region drops it: no rule stops with no horizon left
     sm = build_smdp(m2)
     grid = TimeGrid(1.0, 64)
     region = StoppingRegion(grid=grid, member=np.ones((grid.steps + 1, sm.n_base), dtype=bool))
@@ -280,6 +285,50 @@ def test_evaluate_never_stop_single_state(m1):
     u, _ = evaluate_policy(sm, region, tol=1e-12)
     # running forever in a unit-rate unit-cost state costs the full horizon
     assert np.max(np.abs(u.values[:, 0] - grid.nodes)) <= 5e-3
+
+
+def test_a_region_set_only_at_node_0_never_stops(m2):
+    # a remaining horizon in (0, dt) floors to node 0, where no horizon is left and no rule stops:
+    # evaluate_policy and RegionRule read the same set, so both give the cost of never stopping
+    sm = build_smdp(m2)
+    grid = TimeGrid(1.0, 4)
+    member = np.zeros((grid.steps + 1, sm.n_base), dtype=bool)
+    member[0] = True
+    region = StoppingRegion(grid=grid, member=member)
+    assert not region.member.any() and member[0].all()
+    never = StoppingRegion(grid=grid, member=np.zeros_like(member))
+    (u, report), (w, never_report) = evaluate_policy(sm, region), evaluate_policy(sm, never)
+    assert u.values.tobytes() == w.values.tobytes() and report == never_report
+    mc, mc_never = (estimate_value(m2, rule, "a", n_paths=4000, seed=5) for rule in (RegionRule(region), NeverStop()))
+    assert json.dumps(mc.to_json_dict()) == json.dumps(mc_never.to_json_dict())
+    with pytest.raises(ValueError, match="read-only"):
+        region.member[0, 0] = True
+    # a spent horizon floors to node 0 too, so even a region set everywhere does not stop there
+    rule = RegionRule(StoppingRegion(grid=grid, member=np.ones_like(member)))
+    assert not rule.stops(0.0, 0) and not rule.stops(-0.5, 1) and rule.stops(0.25, 1)
+    remaining, states = np.array([-0.5, 0.0, 0.1, 0.25, 1.0]), np.array([0, 1, 0, 1, 0])
+    assert rule.stops_many(remaining, states).tolist() == [False, False, False, True, True]
+
+
+@pytest.mark.parametrize("case", ["m1", "m2", 0, 1, 2, 3, 4])
+def test_the_recursion_is_the_decision_process_on_the_base_states(case):
+    # one sweep serves both routes: solve_value's table is solve_smdp's base columns bit for bit,
+    # the rest-state column is exactly 0, and the two loops report the same iteration
+    if case == "m1":
+        model = single_state_model()
+    elif case == "m2":
+        model = two_state_model()
+    else:
+        model = make_random_model(np.random.default_rng(900 + case))
+    n = len(model.states)
+    grid = TimeGrid(model.horizon, 128)
+    v, value_report = solve_value(model, grid)
+    u, smdp_report = solve_smdp(build_smdp(model), grid)
+    assert u.values.shape == (grid.steps + 1, n + 1)
+    assert u.values[:, :n].tobytes() == v.values.tobytes()
+    assert u.values[:, n].tobytes() == np.zeros(grid.steps + 1).tobytes()
+    assert smdp_report == value_report
+    assert smdp_report.next_values[:, :n].tobytes() == value_report.next_values.tobytes()
 
 
 def test_optimal_policy_attains_the_value(m1, m2):

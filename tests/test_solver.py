@@ -37,8 +37,7 @@ from smpstop import (
     write_value_csv,
 )
 from smpstop.grid import discretize_kernel
-from smpstop.smdp import _fixed_point, _t_sweep
-from smpstop.solver import _g_sweep
+from smpstop.smdp import _fixed_point, _sweep
 from conftest import (
     make_random_model,
     make_random_policy,
@@ -125,7 +124,7 @@ def test_solve_value_monotone_and_contraction(m2):
     diffs = []
     with reference_recursion():
         for _ in range(30):
-            nxt = _g_sweep(m2, kg, v)
+            nxt = _sweep(m2, kg, v)
             assert np.all(nxt >= v)
             diffs.append(np.max(np.abs(nxt - v)))
             v = nxt
@@ -184,11 +183,12 @@ def test_budget_exhaustion_flagged(m2, solve, width, monkeypatch):
     ids=["beta0", "beta-half", "beta1"],
 )
 @pytest.mark.parametrize("steps", [1, 2, 37])
-def test_budget_is_steps_plus_two(dist, beta, steps):
+def test_budget_is_steps_plus_two(dist, beta, steps, monkeypatch):
     # a sweep that never settles runs the whole budget, whatever the jump mass beta
     model = single_state_model(dist=dist)
     assert contraction_factor(model) == beta
-    _, report = _fixed_point(model, TimeGrid(1.0, steps), 1, lambda kg, v, out, ws: v + 1.0, 1e-300)
+    monkeypatch.setattr(smpstop.smdp, "_sweep", lambda model, kg, v, *rest: v + 1.0)
+    _, report = _fixed_point(model, TimeGrid(1.0, steps), 1, 1e-300)
     assert not report.converged
     assert report.iterations == steps + 2
 
@@ -201,21 +201,17 @@ def test_sweep_m_fixes_node_m_minus_1(m2, route, seed):
     model = m2 if seed is None else make_random_model(np.random.default_rng(seed))
     grid = TimeGrid(model.horizon, 64)
     kg = discretize_kernel(model.kernel, grid)
-    if route == "solve_value":
-        width, sweep = len(model.states), lambda v: _g_sweep(model, kg, v)
-    else:
-        sm = build_smdp(model)
-        width, sweep = sm.n_states, lambda v: _t_sweep(sm, kg, v)
+    width = len(model.states) if route == "solve_value" else build_smdp(model).n_states
     with reference_recursion():
         iterates = [np.zeros((grid.steps + 1, width))]
         for _ in range(grid.steps + 2):
-            iterates.append(sweep(iterates[-1]))
+            iterates.append(_sweep(model, kg, iterates[-1]))
     final = iterates[grid.steps + 1]
     for m in range(1, grid.steps + 2):
         assert iterates[m][:m].tobytes() == final[:m].tobytes(), m
     assert iterates[grid.steps + 2].tobytes() == final.tobytes()
     # the production FFT sweep reaches the same table up to round-off
-    v, report = _fixed_point(model, grid, width, lambda kg, v, out, ws: sweep(v), 1e-300)
+    v, report = _fixed_point(model, grid, width, 1e-300, kg)
     assert report.iterations <= grid.steps + 2
     assert report.residual <= 1e-15
     assert np.max(np.abs(v.values - final)) <= 1e-13
@@ -301,11 +297,11 @@ def test_engine_changes_no_bits(name, steps, monkeypatch):
     # The bytes alone miss either once the table reaches a bitwise fixed point.
     sweeps = []
 
-    def counted_g_sweep(*args):
+    def counted_sweep(*args):
         sweeps.append(None)
-        return _g_sweep(*args)
+        return _sweep(*args)
 
-    monkeypatch.setattr(smpstop.solver, "_g_sweep", counted_g_sweep)
+    monkeypatch.setattr(smpstop.smdp, "_sweep", counted_sweep)
     result = eps_region(model, grid, 1e-3)
     monkeypatch.undo()
     assert len(sweeps) == result.budget.n_iter + 1
@@ -377,7 +373,12 @@ def test_region_boundary_matches_a_scan_of_member(seed):
             member[int(rng.integers(0, grid.steps + 1)), x] ^= True
         if rng.random() < 0.2:
             member[:, x] = rng.random(grid.steps + 1) < 0.5
-    assert StoppingRegion(grid, member).boundary == scanned_boundary(member, grid.nodes)
+    before = member.copy()
+    region = StoppingRegion(grid, member)
+    # the region holds the set without node 0, where no rule stops; the caller's table is not written
+    assert member.tobytes() == before.tobytes()
+    assert not region.member[0].any() and region.member[1:].tobytes() == member[1:].tobytes()
+    assert region.boundary == scanned_boundary(region.member, grid.nodes)
 
 
 def test_stopping_region_reads_only_the_base_states():
@@ -492,9 +493,9 @@ def test_eps_region_single_sweep_budget(m1):
     result = eps_region(m1, grid, 100.0)
     assert result.budget.n_iter == 1
     kg = discretize_kernel(m1.kernel, grid)
-    one = _g_sweep(m1, kg, np.zeros((257, 1)))
+    one = _sweep(m1, kg, np.zeros((257, 1)))
     np.testing.assert_array_equal(result.iterate.values, one)
-    np.testing.assert_array_equal(result.refined.values, _g_sweep(m1, kg, one))
+    np.testing.assert_array_equal(result.refined.values, _sweep(m1, kg, one))
 
 
 def test_eps_region_free_terminal_cost():
